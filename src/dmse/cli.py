@@ -25,7 +25,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DimMismatch, DmseError, NonFiniteGradient
 from .evaluation import evaluate
 from .model import joint_probability, predict_marginal, sigma_from_lambda
-from .mvn import MvnProblem, SamplerConfig, cholesky
+from .mvn import MvnProblem, SamplerConfig
 from .seeding import derive_seed
 from .training import TrainConfig, kfold_split, train
 
@@ -74,7 +74,7 @@ def _coerce(key: str, value: str):
         return _parse_hidden_dims(value)
     int_keys = {
         "minibatch_size", "epochs", "seed", "eval_every", "d1", "d2",
-        "patience", "threads", "n_samples", "burn_in_sweeps", "thinning",
+        "patience", "n_samples", "burn_in_sweeps", "thinning",
         "rng_seed",
     }
     float_keys = {"learning_rate", "adagrad_epsilon", "cdf_tol", "cutoff_k"}
@@ -182,8 +182,6 @@ def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.set)
     if args.seed is not None:
         cfg = replace(cfg, seed=derive_seed(args.seed, "train"))
-    if args.threads is not None:
-        cfg = replace(cfg, threads=args.threads)
     if args.patience is not None:
         cfg = replace(cfg, patience=args.patience)
     dataset = dataio.load_csv(args.data)
@@ -236,8 +234,7 @@ def cmd_predict(args) -> int:
             )
         patterns = _parse_patterns(args.joint_patterns, params.n_species)
     sigma = sigma_from_lambda(params.Lambda_raw).sigma
-    chol, jit = cholesky(sigma)
-    shared = MvnProblem(np.zeros(params.n_species), sigma, chol=chol, jitter_applied=jit)
+    shared = MvnProblem(np.zeros(params.n_species), sigma)
     std = params.standardization
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -294,6 +291,8 @@ def cmd_cv(args) -> int:
                 params, dataset.subset(val), cdf_tol=cfg.cdf_tol,
                 seed=derive_seed(args.seed, "fold-eval", i),
             )
+        except ConfigError:
+            raise
         except DmseError as exc:
             print(f"fold {i} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
             continue
@@ -390,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--patience", type=int,
                    help="stop after this many stale validation evaluations (off by default)")
     p.add_argument("--set", action="append", metavar="KEY=VALUE")

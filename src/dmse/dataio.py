@@ -87,16 +87,13 @@ class Dataset:
         )
 
 
-def load_csv(
-    path,
-    species_prefix: str = SPECIES_PREFIX,
-    feature_prefix: str = FEATURE_PREFIX,
-) -> Dataset:
-    """Parse a checklist CSV, validating every cell.
+def _read_checklist(path, species_prefix, feature_prefix, with_presence):
+    """Header-checked, cell-validated rows of a checklist CSV.
 
-    Raises :class:`MalformedHeader` for columns outside the contract,
-    :class:`NonBinaryPresence` / :class:`NonFiniteFeature` naming the
-    offending row (1-based, counting the header as row 1) and column.
+    Returns ``(species_names, feature_names, rows)`` where each row is
+    ``(bits, features)``; ``bits`` is None unless ``with_presence``, in
+    which case species columns are also required. Row numbers in
+    diagnostics are 1-based, counting the header as row 1.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -115,27 +112,29 @@ def load_csv(
                     f"column {name!r} has neither the {species_prefix!r} "
                     f"nor the {feature_prefix!r} prefix"
                 )
-        if not sp_cols:
+        if with_presence and not sp_cols:
             raise MalformedHeader("no species columns")
         if not env_cols:
             raise MalformedHeader("no feature columns")
 
-        observations = []
+        rows = []
         n_fields = len(header)
         for row_no, row in enumerate(reader, start=2):
             if len(row) != n_fields:
                 raise MalformedRow(
                     f"row {row_no} has {len(row)} fields, expected {n_fields}"
                 )
-            b = np.empty(len(sp_cols), dtype=np.int8)
-            for k, (idx, name) in enumerate(sp_cols):
-                cell = row[idx].strip()
-                if cell == "0":
-                    b[k] = 0
-                elif cell == "1":
-                    b[k] = 1
-                else:
-                    raise NonBinaryPresence(row_no, species_prefix + name, row[idx])
+            b = None
+            if with_presence:
+                b = np.empty(len(sp_cols), dtype=np.int8)
+                for k, (idx, name) in enumerate(sp_cols):
+                    cell = row[idx].strip()
+                    if cell == "0":
+                        b[k] = 0
+                    elif cell == "1":
+                        b[k] = 1
+                    else:
+                        raise NonBinaryPresence(row_no, species_prefix + name, row[idx])
             l = np.empty(len(env_cols))
             for k, (idx, name) in enumerate(env_cols):
                 try:
@@ -145,12 +144,24 @@ def load_csv(
                 if not math.isfinite(v):
                     raise NonFiniteFeature(row_no, feature_prefix + name, row[idx])
                 l[k] = v
-            observations.append(Observation(b, l))
-    return Dataset(
-        observations,
-        [name for _, name in sp_cols],
-        [name for _, name in env_cols],
-    )
+            rows.append((b, l))
+    return [name for _, name in sp_cols], [name for _, name in env_cols], rows
+
+
+def load_csv(
+    path,
+    species_prefix: str = SPECIES_PREFIX,
+    feature_prefix: str = FEATURE_PREFIX,
+) -> Dataset:
+    """Parse a checklist CSV, validating every cell.
+
+    Raises :class:`MalformedHeader` for columns outside the contract,
+    :class:`MalformedRow` for a row of the wrong length, and
+    :class:`NonBinaryPresence` / :class:`NonFiniteFeature` naming the
+    offending row (1-based, counting the header as row 1) and column.
+    """
+    species, features, rows = _read_checklist(path, species_prefix, feature_prefix, True)
+    return Dataset([Observation(b, l) for b, l in rows], species, features)
 
 
 def load_features_csv(path, feature_prefix: str = FEATURE_PREFIX) -> tuple[list[str], np.ndarray]:
@@ -159,40 +170,8 @@ def load_features_csv(path, feature_prefix: str = FEATURE_PREFIX) -> tuple[list[
     ``env:`` columns are required; ``sp:`` columns, if present, are
     ignored. Returns the feature names and an ``(N, m)`` matrix.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedHeader("empty file") from None
-        env_cols = []
-        for idx, name in enumerate(header):
-            if name.startswith(feature_prefix):
-                env_cols.append((idx, name[len(feature_prefix):]))
-            elif not name.startswith(SPECIES_PREFIX):
-                raise MalformedHeader(
-                    f"column {name!r} has neither the {SPECIES_PREFIX!r} "
-                    f"nor the {feature_prefix!r} prefix"
-                )
-        if not env_cols:
-            raise MalformedHeader("no feature columns")
-        rows = []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise MalformedRow(
-                    f"row {row_no} has {len(row)} fields, expected {len(header)}"
-                )
-            l = np.empty(len(env_cols))
-            for k, (idx, name) in enumerate(env_cols):
-                try:
-                    v = float(row[idx])
-                except ValueError:
-                    raise NonFiniteFeature(row_no, feature_prefix + name, row[idx]) from None
-                if not math.isfinite(v):
-                    raise NonFiniteFeature(row_no, feature_prefix + name, row[idx])
-                l[k] = v
-            rows.append(l)
-    return [name for _, name in env_cols], np.array(rows)
+    _, features, rows = _read_checklist(path, SPECIES_PREFIX, feature_prefix, False)
+    return features, np.array([l for _, l in rows])
 
 
 def save_csv(dataset: Dataset, path) -> None:

@@ -13,14 +13,6 @@ class SingularCovariance(DmseError):
     """Covariance could not be inverted after jitter."""
 
 
-class ToleranceNotReached(DmseError):
-    """Requested integration tolerance was not met within the sample budget.
-
-    Raised only when a caller demands hard convergence; the integrator
-    itself reports a soft flag on its estimate instead of raising.
-    """
-
-
 class DimMismatch(DmseError):
     """Operand dimensions are inconsistent."""
 

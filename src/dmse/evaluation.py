@@ -82,15 +82,13 @@ def auc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabels("AUC needs at least one positive and one negative label")
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
     sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
-        i = j + 1
+    # Each run of tied scores starting at sorted position i with c members
+    # shares the average 1-based rank i + (c + 1) / 2.
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    counts = np.diff(np.r_[starts, len(scores)])
+    ranks = np.empty(len(scores))
+    ranks[order] = np.repeat(starts + 0.5 * (counts + 1), counts)
     rank_sum = float(ranks[labels == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

@@ -3,8 +3,7 @@
 The network applies ``tanh`` on every hidden layer and the identity on the
 output layer; there is nothing else (no dropout, normalization, or
 convolution). Forward and backward are pure functions of the parameters
-and input, so parameters can be shared read-only across threads during a
-gradient pass.
+and input.
 """
 
 from __future__ import annotations

@@ -34,7 +34,6 @@ from .mvn import (
     MvnProblem,
     Rectangle,
     cdf_rectangle,
-    cholesky,
 )
 from .seeding import derive_seed
 
@@ -293,10 +292,7 @@ def joint_probability(
         sigma = sigma_from_lambda(params.Lambda_raw).sigma
         problem = MvnProblem(mu, sigma)
     else:
-        problem = MvnProblem(
-            mu, problem.cov, chol=problem.chol, precision=problem.precision,
-            jitter_applied=problem.jitter_applied,
-        )
+        problem = problem.with_mean(mu)
     return cdf_rectangle(problem, Rectangle.from_presence(b), tol, max_samples, seed)
 
 
@@ -364,8 +360,7 @@ def log_likelihood_dataset(
             mu, _, _ = mu_forward(params, obs.l)
             total += _independent_loglik(mu, obs.b)
         return total
-    chol, jit = cholesky(sigma)
-    shared = MvnProblem(np.zeros(params.n_species), sigma, chol=chol, jitter_applied=jit)
+    shared = MvnProblem(np.zeros(params.n_species), sigma)
     total = 0.0
     for i, obs in enumerate(observations):
         total += log_likelihood_obs(

@@ -20,7 +20,7 @@ construction time (no interior mutation afterwards).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -53,7 +53,6 @@ DEFAULT_CDF_TOL = 1e-6
 #: Default cap on total integrand evaluations per cdf_rectangle call.
 DEFAULT_MAX_SAMPLES = 10_000_000
 
-_SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 # Conditional-sd multiple beyond which inverse-CDF sampling switches to
@@ -114,9 +113,8 @@ class MvnProblem:
     """A normal distribution ``N(mean, cov)`` with cached factorization.
 
     The Cholesky factor and precision matrix are computed at construction
-    (one jitter retry, see :func:`cholesky`) and may also be supplied by
-    the caller to amortize the factorization across problems sharing one
-    covariance.
+    (one jitter retry, see :func:`cholesky`). Problems sharing one
+    covariance reuse the factorization through :meth:`with_mean`.
     """
 
     mean: np.ndarray
@@ -150,6 +148,10 @@ class MvnProblem:
             if not np.all(np.isfinite(inv_l)):
                 raise SingularCovariance("covariance not invertible after jitter")
             object.__setattr__(self, "precision", inv_l.T @ inv_l)
+
+    def with_mean(self, mean) -> "MvnProblem":
+        """The same covariance and factorization around another mean."""
+        return replace(self, mean=mean)
 
     @property
     def dim(self) -> int:
@@ -542,44 +544,6 @@ def clip_rectangle(rect: Rectangle, problem: MvnProblem, k: float) -> Rectangle:
 # Truncated Gibbs sampling
 # ---------------------------------------------------------------------------
 
-# Coefficients of Acklam's rational approximation to the inverse normal CDF;
-# one Halley refinement below brings it to ~1e-15 absolute.
-_PA = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-       1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_PB = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-       6.680131188771972e+01, -1.328068155288572e+01)
-_PC = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-       -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_PD = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-       3.754408661907416e+00)
-
-
-def _phi(x: float) -> float:
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def _phinv(p: float) -> float:
-    if p <= 0.0:
-        return -math.inf
-    if p >= 1.0:
-        return math.inf
-    if p < 0.02425:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_PC[0] * q + _PC[1]) * q + _PC[2]) * q + _PC[3]) * q + _PC[4]) * q + _PC[5])
-             / ((((_PD[0] * q + _PD[1]) * q + _PD[2]) * q + _PD[3]) * q + 1.0))
-    elif p <= 0.97575:
-        q = p - 0.5
-        r = q * q
-        x = ((((((_PA[0] * r + _PA[1]) * r + _PA[2]) * r + _PA[3]) * r + _PA[4]) * r + _PA[5]) * q
-             / (((((_PB[0] * r + _PB[1]) * r + _PB[2]) * r + _PB[3]) * r + _PB[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((((_PC[0] * q + _PC[1]) * q + _PC[2]) * q + _PC[3]) * q + _PC[4]) * q + _PC[5])
-              / ((((_PD[0] * q + _PD[1]) * q + _PD[2]) * q + _PD[3]) * q + 1.0))
-    e = _phi(x) - p
-    u = e * _SQRT_TWO_PI * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
-
 
 def _trunc_std_normal(uniform, a: float, b: float) -> float:
     """One draw of a standard normal conditioned on ``[a, b]``.
@@ -598,9 +562,9 @@ def _trunc_std_normal(uniform, a: float, b: float) -> float:
                 return z
     if b <= -_FAR_TAIL:
         return -_trunc_std_normal(uniform, -b, -a)
-    pa = _phi(a)
-    pb = _phi(b)
-    return _phinv(pa + (pb - pa) * uniform())
+    pa = ndtr(a)
+    pb = ndtr(b)
+    return float(ndtri(pa + (pb - pa) * uniform()))
 
 
 def sample_truncated(problem: MvnProblem, rect: Rectangle, cfg: SamplerConfig) -> np.ndarray:

@@ -5,22 +5,22 @@ gradient by Monte Carlo (the correlation matrix, its factor, and its
 inverse are computed once per minibatch since they do not depend on the
 features), average the bundles, and apply an AdaGrad ascent update.
 
-Per-observation gradient work is read-only in the parameters and may run
-on a thread pool; bundles are always reduced in observation order so the
-result is independent of the thread count.
+The observations of a minibatch are processed one after another, each
+drawing from its own seeded stream. Each step also logs a cheap estimate
+of the minibatch log-likelihood (one lattice pass per observation)
+together with its relative error.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dataio import Dataset, standardize
-from .errors import InvalidK, NonFiniteGradient
+from .errors import ConfigError, InvalidK, NonFiniteGradient
 from .gradients import GradientBundle, assemble_bundle, grad_mu_sigma
 from .mlp import DEFAULT_HIDDEN_DIMS, MlpGrads
 from .model import (
@@ -31,7 +31,7 @@ from .model import (
     sigma_from_lambda,
     _reperturb_zero_columns,
 )
-from .mvn import MvnProblem, Rectangle, SamplerConfig, cdf_rectangle, cholesky
+from .mvn import N_RANDOMIZATIONS, MvnProblem, Rectangle, SamplerConfig, cdf_rectangle
 from .seeding import derive_seed
 
 log = logging.getLogger(__name__)
@@ -45,17 +45,21 @@ __all__ = [
     "kfold_split",
 ]
 
+#: Integrand evaluations for each observation's logged log-likelihood:
+#: one lattice pass of :data:`N_RANDOMIZATIONS` shifts of 257 points, so the
+#: integrator never doubles the point count.
+LOGLIK_MAX_SAMPLES = N_RANDOMIZATIONS * 257
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of one training run.
 
-    ``cdf_tol`` controls the tolerance of the log-likelihood *estimates*
-    logged during training and used for validation evaluations; gradient
+    ``cdf_tol`` is the tolerance of the log-likelihood estimates: the
+    validation evaluations and the per-step logged estimate, which is
+    capped at one lattice pass (:data:`LOGLIK_MAX_SAMPLES`). Gradient
     estimation never integrates. ``hidden_dims=()`` trains the model
-    without the network (projection of raw features only). ``threads=0``
-    (the default) means one worker per available core; results are
-    identical for any thread count.
+    without the network (projection of raw features only).
     """
 
     learning_rate: float = 0.05
@@ -70,7 +74,6 @@ class TrainConfig:
     d2: int = 100
     hidden_dims: tuple[int, ...] = DEFAULT_HIDDEN_DIMS
     patience: int = 0
-    threads: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.adagrad_epsilon <= 0:
@@ -106,9 +109,10 @@ class AdagradState:
 class TrainingLog:
     """Step and evaluation records of one run.
 
-    Step records hold: step, epoch, minibatch mean log-likelihood estimate,
-    mean gradient standard error, wall time, and skip flag. Records are
-    plain dicts so they stream as line-delimited JSON.
+    Step records hold: step, epoch, minibatch mean log-likelihood estimate
+    and its mean relative error, mean gradient standard error, wall time,
+    and skip flag. Records are plain dicts so they stream as line-delimited
+    JSON.
     """
 
     steps: list[dict] = field(default_factory=list)
@@ -161,65 +165,42 @@ def adagrad_step(
 
 
 def _observation_gradient(params, obs, shared_problem, sampler_cfg, cdf_tol):
-    """Gradient bundle and log-likelihood estimate for one observation."""
+    """Gradient bundle and one-pass log-likelihood estimate for one observation.
+
+    Returns ``(bundle, loglik, loglik_rel_err, grad_se)``.
+    """
     mu, tape, h = mu_forward(params, obs.l)
-    problem = MvnProblem(
-        mu,
-        shared_problem.cov,
-        chol=shared_problem.chol,
-        precision=shared_problem.precision,
-        jitter_applied=shared_problem.jitter_applied,
-    )
+    problem = shared_problem.with_mean(mu)
     rect = Rectangle.from_presence(obs.b)
     musig = grad_mu_sigma(problem, rect, sampler_cfg)
     bundle = assemble_bundle(params, obs, musig, tape, h)
     est = cdf_rectangle(
-        problem, rect, tol=cdf_tol, max_samples=100_000, seed=sampler_cfg.rng_seed
+        problem, rect, tol=cdf_tol, max_samples=LOGLIK_MAX_SAMPLES, seed=sampler_cfg.rng_seed
     )
-    loglik = float(np.log(max(est.value, 1e-300)))
-    grad_se = float(np.mean(musig.se_mu))
-    return bundle, loglik, grad_se
+    value = max(est.value, 1e-300)
+    return bundle, float(np.log(value)), est.error_estimate / value, float(np.mean(musig.se_mu))
 
 
-def _minibatch_bundle(params, batch, indices, cfg, sampler_seed, threads):
+def _minibatch_bundle(params, batch, indices, cfg, sampler_seed):
     """Averaged bundle plus logging statistics for one minibatch.
 
-    The reduction runs in dataset-index order regardless of the thread
-    count, so results are bitwise identical across `threads` settings.
+    Returns ``(bundle, mean_loglik, mean_loglik_rel_err, mean_grad_se)``.
     """
     sigma = sigma_from_lambda(params.Lambda_raw).sigma
-    chol, jit = cholesky(sigma)
-    shared = MvnProblem(np.zeros(params.n_species), sigma, chol=chol, jitter_applied=jit)
-
-    def work(pair):
-        obs, ds_index = pair
-        cfg_i = replace(cfg.sampler, rng_seed=sampler_seed ^ int(ds_index))
-        return _observation_gradient(params, obs, shared, cfg_i, cfg.cdf_tol)
-
-    pairs = list(zip(batch, indices))
-    if threads > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, pairs))
-    else:
-        results = [work(p) for p in pairs]
-
+    shared = MvnProblem(np.zeros(params.n_species), sigma)
     total = GradientBundle.zeros_like(params)
-    logliks, ses = [], []
-    for bundle, loglik, se in results:
+    stats = []
+    for obs, ds_index in zip(batch, indices):
+        cfg_i = replace(cfg.sampler, rng_seed=sampler_seed ^ int(ds_index))
+        bundle, loglik, rel_err, se = _observation_gradient(
+            params, obs, shared, cfg_i, cfg.cdf_tol
+        )
         total.add_(bundle)
-        logliks.append(loglik)
-        ses.append(se)
-    total.scale_(1.0 / len(pairs))
-    total.n_obs = len(pairs)
-    return total, float(np.mean(logliks)), float(np.mean(ses))
-
-
-def _resolve_threads(threads: int) -> int:
-    if threads > 0:
-        return threads
-    import os
-
-    return os.cpu_count() or 1
+        stats.append((loglik, rel_err, se))
+    total.scale_(1.0 / len(batch))
+    total.n_obs = len(batch)
+    mean_ll, mean_err, mean_se = np.mean(stats, axis=0)
+    return total, float(mean_ll), float(mean_err), float(mean_se)
 
 
 def train(
@@ -237,8 +218,16 @@ def train(
     whole run is deterministic given ``cfg.seed`` and ``init_seed``.
 
     Aborts (raising :class:`NonFiniteGradient`) only if more than half the
-    steps of an epoch were skipped for non-finite gradients.
+    steps of an epoch were skipped for non-finite gradients. Raises
+    :class:`ConfigError` when ``cfg.d2`` is below the species count: the
+    correlation matrix would then be rank-deficient and its jittered
+    inverse would make the gradient estimates meaningless.
     """
+    if cfg.d2 < dataset.n_species:
+        raise ConfigError(
+            f"d2={cfg.d2} is below the species count n_species={dataset.n_species}; "
+            f"the correlation matrix would be rank-deficient (need d2 >= n_species)"
+        )
     n_obs = len(dataset)
     if n_obs == 0:
         raise ValueError("dataset is empty")
@@ -265,7 +254,6 @@ def train(
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
     sampler_base = derive_seed(cfg.seed, "sampler")
     eval_seed = derive_seed(cfg.seed, "eval")
-    threads = _resolve_threads(cfg.threads)
     observations = std_data.observations
     t0 = time.monotonic()
     step = 0
@@ -279,8 +267,8 @@ def train(
             idx = order[start : start + cfg.minibatch_size]
             batch = [observations[i] for i in idx]
             sampler_seed = sampler_base ^ (epoch << 32)
-            bundle, mean_ll, mean_se = _minibatch_bundle(
-                params, batch, idx, cfg, sampler_seed, threads
+            bundle, mean_ll, mean_ll_err, mean_se = _minibatch_bundle(
+                params, batch, idx, cfg, sampler_seed
             )
             step += 1
             steps_this_epoch += 1
@@ -297,6 +285,7 @@ def train(
                     "step": step,
                     "epoch": epoch,
                     "minibatch_loglik": mean_ll,
+                    "minibatch_loglik_err": mean_ll_err,
                     "grad_se": mean_se,
                     "wall_time": time.monotonic() - t0,
                     "skipped": skipped,

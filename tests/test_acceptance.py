@@ -327,7 +327,6 @@ RECOVERY_CFG = dict(
     d1=8,
     d2=8,
     hidden_dims=(16, 16, 8),
-    threads=1,
 )
 
 
@@ -405,7 +404,7 @@ def test_08_deep_beats_linear_on_radial_signal():
     base = dict(
         learning_rate=0.1, minibatch_size=64, epochs=6,
         sampler=SamplerConfig(n_samples=32, burn_in_sweeps=12, thinning=1),
-        cdf_tol=1e-2, seed=55, eval_every=10_000, d1=8, d2=4, threads=1,
+        cdf_tol=1e-2, seed=55, eval_every=10_000, d1=8, d2=4,
     )
     aucs = {}
     for name, hidden in (("network", (16, 16, 8)), ("linear", ())):
@@ -437,7 +436,7 @@ def test_09_determinism(tmp_path):
     train_cfg = tmp_path / "train.cfg"
     train_cfg.write_text(
         "epochs = 1\nminibatch_size = 16\ncdf_tol = 1e-2\nd1 = 3\nd2 = 3\n"
-        "hidden_dims = 4\nn_samples = 12\nburn_in_sweeps = 6\nthinning = 1\nthreads = 1\n",
+        "hidden_dims = 4\nn_samples = 12\nburn_in_sweeps = 6\nthinning = 1\n",
         encoding="utf-8",
     )
     out1, out2 = tmp_path / "m1.dmse", tmp_path / "m2.dmse"

@@ -28,7 +28,6 @@ FAST_TRAIN = (
     "n_samples = 12        # sampler draws per observation\n"
     "burn_in_sweeps = 6\n"
     "thinning = 1\n"
-    "threads = 1\n"
 )
 
 SYNTH_SPEC = (
@@ -77,7 +76,7 @@ class TestConfigParsing:
             "learning_rate": "0.2", "adagrad_epsilon": "1e-9",
             "minibatch_size": "16", "epochs": "3", "cdf_tol": "1e-4",
             "seed": "9", "eval_every": "50", "d1": "7", "d2": "5",
-            "hidden_dims": "32,16", "patience": "2", "threads": "2",
+            "hidden_dims": "32,16", "patience": "2",
             "n_samples": "64", "burn_in_sweeps": "20", "thinning": "3",
             "cutoff_k": "4.5", "rng_seed": "11",
         })
@@ -131,6 +130,22 @@ class TestExitCodes:
             "error: NonBinaryPresence: non-binary presence value '2' "
             "at row 3, column 'sp:a'\n"
         )
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_d2_below_species_count_is_2(self, tmp_path, capsys, command):
+        # n=6 species with d2=3 gives a rank-deficient correlation matrix.
+        spec = write(tmp_path, "s.cfg", SYNTH_SPEC.replace("n_species = 2", "n_species = 6"))
+        data = str(tmp_path / "six.csv")
+        assert main(["synth", "--spec-config", spec, "--out", data]) == 0
+        capsys.readouterr()
+        cfg = write(tmp_path, "t.cfg", FAST_TRAIN)
+        out = ["--out", str(tmp_path / "m.dmse")] if command == "train" else [
+            "--out-dir", str(tmp_path / "cv")]
+        code = main([command, "--data", data, "--config", cfg] + out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: ConfigError:" in err
+        assert "d2=3" in err and "n_species=6" in err
 
     def test_eval_dim_mismatch_is_3_and_names_species(self, workspace, capsys, tmp_path):
         ws, data, cfg, model = workspace

@@ -7,7 +7,7 @@ import pytest
 
 from dmse.checkpoint import checkpoint_bytes
 from dmse.dataio import SynthSpec, synth_from_truth, synth_generate, standardize, true_mu
-from dmse.errors import InvalidK, NonFiniteGradient
+from dmse.errors import ConfigError, InvalidK, NonFiniteGradient
 from dmse.evaluation import auc, evaluate
 from dmse.gradients import GradientBundle
 from dmse.model import init_model_params, sigma_from_lambda
@@ -43,7 +43,6 @@ def quick_cfg(**kw):
         d1=4,
         d2=4,
         hidden_dims=(6,),
-        threads=1,
     )
     defaults.update(kw)
     return TrainConfig(**defaults)
@@ -174,11 +173,12 @@ class TestTrain:
         b, _ = train(ds, cfg, init_seed=2)
         assert checkpoint_bytes(a) == checkpoint_bytes(b)
 
-    def test_thread_count_does_not_change_result(self):
-        ds, _ = synth_generate(SynthSpec(n_species=2, m_features=2, n_obs=32, seed=7))
-        a, _ = train(ds, quick_cfg(epochs=1, minibatch_size=8, threads=1), init_seed=4)
-        b, _ = train(ds, quick_cfg(epochs=1, minibatch_size=8, threads=4), init_seed=4)
-        assert checkpoint_bytes(a) == checkpoint_bytes(b)
+    def test_d2_below_species_count_rejected(self):
+        # n=6, d2=3: the correlation matrix has rank at most 3, and the
+        # jittered precision matrix made the gradient estimates meaningless.
+        ds, _ = synth_generate(SynthSpec(n_species=6, m_features=2, n_obs=16, seed=7))
+        with pytest.raises(ConfigError, match=r"d2=3.*n_species=6"):
+            train(ds, quick_cfg(d2=3, minibatch_size=8), init_seed=0)
 
     def test_minibatch_larger_than_dataset_rejected(self):
         ds, _ = synth_generate(SynthSpec(n_species=1, m_features=1, n_obs=3, seed=8))
@@ -191,8 +191,9 @@ class TestTrain:
         assert len(tlog.steps) == 2
         for rec in tlog.steps:
             assert set(rec) >= {"step", "epoch", "minibatch_loglik", "grad_se",
-                                "wall_time", "skipped"}
+                                "wall_time", "skipped", "minibatch_loglik_err"}
             assert rec["minibatch_loglik"] <= 0.0
+            assert rec["minibatch_loglik_err"] >= 0.0  # also false for NaN
 
     def test_single_species_learns_strong_signal(self):
         """Held-out AUC must exceed 0.9 when the generating signal's own
@@ -209,7 +210,7 @@ class TestTrain:
             learning_rate=0.1, minibatch_size=64, epochs=4,
             sampler=SamplerConfig(n_samples=32, burn_in_sweeps=12, thinning=1),
             cdf_tol=1e-2, seed=13, eval_every=1000, d1=6, d2=2,
-            hidden_dims=(16, 8), threads=1,
+            hidden_dims=(16, 8),
         )
         params, tlog = train(ds, cfg, init_seed=5)
         lls = [r["minibatch_loglik"] for r in tlog.steps]
@@ -230,7 +231,7 @@ class TestTrain:
             learning_rate=0.1, minibatch_size=50, epochs=2,
             sampler=SamplerConfig(n_samples=24, burn_in_sweeps=10, thinning=1),
             cdf_tol=1e-3, seed=17, eval_every=8, d1=6, d2=6,
-            hidden_dims=(8, 4), threads=1,
+            hidden_dims=(8, 4),
         )
         params, tlog = train(ds, cfg, init_seed=19, validation=validation)
         vals = [r["validation_loglik"] for r in tlog.evals][:5]
@@ -263,7 +264,7 @@ class TestTrain:
             learning_rate=0.1, minibatch_size=50, epochs=3,
             sampler=SamplerConfig(n_samples=24, burn_in_sweeps=10, thinning=1),
             cdf_tol=1e-2, seed=23, eval_every=1000, d1=4, d2=4,
-            hidden_dims=(6,), threads=1,
+            hidden_dims=(6,),
         )
         params, _ = train(ds, cfg, init_seed=29)
         learned = sigma_from_lambda(params.Lambda_raw).sigma[0, 1]
