@@ -34,7 +34,8 @@ EXIT_DATA = 3
 EXIT_TRAINING = 4
 
 _TRAIN_KEYS = {f.name: f.type for f in fields(TrainConfig) if f.name != "sampler"}
-_SAMPLER_KEYS = {f.name: f.type for f in fields(SamplerConfig)}
+# Training derives the sampler seed per step from the run seed: not a config key.
+_SAMPLER_KEYS = {f.name: f.type for f in fields(SamplerConfig) if f.name != "rng_seed"}
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +76,6 @@ def _coerce(key: str, value: str):
     int_keys = {
         "minibatch_size", "epochs", "seed", "eval_every", "d1", "d2",
         "patience", "n_samples", "burn_in_sweeps", "thinning",
-        "rng_seed",
     }
     float_keys = {"learning_rate", "adagrad_epsilon", "cdf_tol", "cutoff_k"}
     try:

@@ -115,7 +115,7 @@ def evaluate(
         raise DimMismatch("dataset features do not match the model")
     std_data = apply_standardization(dataset, params.standardization)
     presence = std_data.presence_matrix()
-    scores = np.array([predict_marginal(params, obs.l) for obs in std_data.observations])
+    scores = predict_marginal(params, std_data.feature_matrix())
 
     per_species = {}
     defined = []

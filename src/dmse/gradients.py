@@ -9,8 +9,11 @@ the rectangle, of the score functions
 
 so both are estimated as plain averages over truncated Gibbs draws. The
 same draws serve F and G (common random numbers). Standard errors of both
-estimates are tracked with batch means, which stay honest under the
-sampler's autocorrelation.
+estimates are between-chain: the spread of the independent chains' means,
+which stays honest under each chain's autocorrelation.
+
+Every function here takes one observation or a minibatch stacked along a
+leading axis; the chain-rule assembly averages the minibatch.
 
 Because the correlation matrix has unit diagonal by construction, the
 diagonal of the covariance gradient is an infeasible direction and is
@@ -42,7 +45,8 @@ __all__ = [
 class MuSigmaGrad:
     """Estimated gradients of one observation's log-probability.
 
-    ``d_sigma`` is symmetrized. ``se_mu``/``se_sigma`` are batch-means
+    Fields carry the leading batch axis of the problem they came from.
+    ``d_sigma`` is symmetrized. ``se_mu``/``se_sigma`` are between-chain
     standard errors of the corresponding estimates.
     """
 
@@ -54,7 +58,7 @@ class MuSigmaGrad:
 
 @dataclass
 class GradientBundle:
-    """Accumulated parameter gradients for a minibatch."""
+    """Parameter gradients averaged over a minibatch of ``n_obs`` observations."""
 
     d_S: np.ndarray
     d_Lambda_raw: np.ndarray
@@ -71,23 +75,6 @@ class GradientBundle:
             MlpGrads.zeros_like(params.mlp) if params.mlp is not None else None,
             0,
         )
-
-    def add_(self, other: "GradientBundle") -> "GradientBundle":
-        self.d_S += other.d_S
-        self.d_Lambda_raw += other.d_Lambda_raw
-        self.d_W += other.d_W
-        if self.d_mlp is not None:
-            self.d_mlp.add_(other.d_mlp)
-        self.n_obs += other.n_obs
-        return self
-
-    def scale_(self, c: float) -> "GradientBundle":
-        self.d_S *= c
-        self.d_Lambda_raw *= c
-        self.d_W *= c
-        if self.d_mlp is not None:
-            self.d_mlp.scale_(c)
-        return self
 
     def is_finite(self) -> bool:
         ok = (
@@ -115,18 +102,6 @@ def score_G(sigma_inv: np.ndarray, mu: np.ndarray, x: np.ndarray) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
-def _batch_se(per_draw: np.ndarray, n_batches: int = 32) -> np.ndarray:
-    """Batch-means standard error of the mean along axis 0."""
-    m = per_draw.shape[0]
-    n_batches = min(n_batches, m)
-    usable = (m // n_batches) * n_batches
-    batches = per_draw[:usable].reshape(n_batches, usable // n_batches, *per_draw.shape[1:])
-    means = batches.mean(axis=1)
-    if n_batches < 2:
-        return np.full(per_draw.shape[1:], np.inf)
-    return means.std(axis=0, ddof=1) / np.sqrt(n_batches)
-
-
 def grad_mu_sigma(
     problem: MvnProblem, rect: Rectangle, cfg: SamplerConfig
 ) -> MuSigmaGrad:
@@ -135,33 +110,35 @@ def grad_mu_sigma(
     The rectangle's infinite ends are clipped internally at
     ``cfg.cutoff_k`` conditional standard deviations before sampling; the
     discarded mass per coordinate is bounded by
-    :func:`dmse.mvn.truncation_bound`. Deterministic given
-    ``cfg.rng_seed``.
+    :func:`dmse.mvn.truncation_bound`. A batched problem or rectangle gives
+    one estimate per row. Deterministic given ``cfg.rng_seed``.
     """
     clipped = clip_rectangle(rect, problem, cfg.cutoff_k)
     draws = sample_truncated(problem, clipped, cfg)
     q = problem.precision
-    centered = draws - problem.mean
-    f_draws = centered @ q  # row-wise Sigma^{-1}(x - mu)
-    d_mu = f_draws.mean(axis=0)
-    se_mu = _batch_se(f_draws)
+    # Row-wise Sigma^{-1}(x - mu), then split the draw axis into chains.
+    f_draws = (draws - problem.mean[..., None, :]) @ q
+    m = f_draws.shape[-2]
+    chains, kept = cfg.chains, m // cfg.chains
+    f_chains = np.moveaxis(f_draws.reshape(f_draws.shape[:-2] + (chains, kept, -1)), -3, 0)
+    d_mu = f_draws.mean(axis=-2)
 
     # Per-draw G is -1/2 (Q - f f^T); averaging the outer products first
     # is the same estimator without materializing M matrices.
-    m = draws.shape[0]
-    ff_mean = f_draws.T @ f_draws / m
+    ff_mean = np.swapaxes(f_draws, -1, -2) @ f_draws / m
     d_sigma = -0.5 * (q - ff_mean)
-    d_sigma = 0.5 * (d_sigma + d_sigma.T)
-    # SE of the G estimate: only the 1/2 f f^T term fluctuates. Batch the
-    # outer products without materializing one matrix per draw.
-    n_batches = min(32, m)
-    usable = (m // n_batches) * n_batches
-    if n_batches >= 2:
-        fb = f_draws[:usable].reshape(n_batches, usable // n_batches, -1)
-        batch_means = 0.5 * np.einsum("bki,bkj->bij", fb, fb) / (usable // n_batches)
-        se_sigma = batch_means.std(axis=0, ddof=1) / np.sqrt(n_batches)
+    d_sigma = 0.5 * (d_sigma + np.swapaxes(d_sigma, -1, -2))
+    # Between-chain SEs. For G only the 1/2 f f^T term fluctuates; chains
+    # have equal length, so ff_mean is also the mean of the chain means,
+    # and one chain at a time keeps memory at one matrix per observation.
+    if chains < 2:
+        se_mu, se_sigma = np.full_like(d_mu, np.inf), np.full_like(d_sigma, np.inf)
     else:
-        se_sigma = np.full_like(d_sigma, np.inf)
+        se_mu = f_chains.mean(axis=-2).std(axis=0, ddof=1) / np.sqrt(chains)
+        sq_dev = np.zeros_like(d_sigma)
+        for f in f_chains:
+            sq_dev += (np.swapaxes(f, -1, -2) @ f / kept - ff_mean) ** 2
+        se_sigma = 0.5 * np.sqrt(sq_dev / (chains - 1) / chains)
     return MuSigmaGrad(d_mu, d_sigma, se_mu, se_sigma)
 
 
@@ -189,21 +166,29 @@ def assemble_bundle(
     tape: MlpTape | None,
     h: np.ndarray,
 ) -> GradientBundle:
-    """Chain-rule assembly of one observation's parameter gradients.
+    """Chain-rule assembly of the parameter gradients, averaged over a minibatch.
 
-    ``tape`` and ``h`` must come from the same :func:`dmse.model.mu_forward`
-    call whose outputs produced ``musig``.
+    ``obs`` holds one observation or a minibatch stacked along a leading
+    axis. ``tape`` and ``h`` must come from the same
+    :func:`dmse.model.mu_forward` call whose outputs produced ``musig``.
+    The covariance map is linear, so the interaction-embedding gradient is
+    taken once, of the minibatch-mean ``d_sigma``.
     """
-    d_mu = musig.d_mu
-    if d_mu.shape[0] != params.n_species:
+    n = params.n_species
+    if musig.d_mu.shape[-1] != n:
         raise DimMismatch("gradient dimension does not match species count")
-    d_s = np.outer(h, d_mu)
-    d_h = params.S @ d_mu
+    d_mu = musig.d_mu.reshape(-1, n)
+    rows = d_mu.shape[0]
+    h = h.reshape(rows, -1)
+    d_s = h.T @ d_mu / rows
+    d_h = d_mu @ params.S.T
     extractor_out = obs.l if tape is None else tape.output
-    d_w = np.outer(d_h, extractor_out)
+    d_w = d_h.T @ extractor_out.reshape(rows, -1) / rows
     if params.mlp is None:
         d_mlp = None
     else:
-        d_mlp, _ = mlp_backward(params.mlp, tape, params.W.T @ d_h)
-    d_lambda = lambda_grad_from_sigma(params.Lambda_raw, musig.d_sigma)
-    return GradientBundle(d_s, d_lambda, d_w, d_mlp, 1)
+        grad_out = (d_h @ params.W / rows).reshape(tape.output.shape)
+        d_mlp, _ = mlp_backward(params.mlp, tape, grad_out)
+    d_sigma = musig.d_sigma.reshape(-1, n, n).mean(axis=0)
+    d_lambda = lambda_grad_from_sigma(params.Lambda_raw, d_sigma)
+    return GradientBundle(d_s, d_lambda, d_w, d_mlp, rows)

@@ -69,7 +69,7 @@ class MlpTape:
 
 @dataclass
 class MlpGrads:
-    """Parameter-shaped gradient holder with in-place accumulation."""
+    """Parameter-shaped gradient holder."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -80,20 +80,6 @@ class MlpGrads:
             [np.zeros_like(w) for w in params.weights],
             [np.zeros_like(b) for b in params.biases],
         )
-
-    def add_(self, other: "MlpGrads") -> "MlpGrads":
-        for a, b in zip(self.weights, other.weights):
-            a += b
-        for a, b in zip(self.biases, other.biases):
-            a += b
-        return self
-
-    def scale_(self, c: float) -> "MlpGrads":
-        for a in self.weights:
-            a *= c
-        for a in self.biases:
-            a *= c
-        return self
 
     def is_finite(self) -> bool:
         return all(np.all(np.isfinite(w)) for w in self.weights) and all(

@@ -242,25 +242,31 @@ def sigma_from_lambda(lambda_raw: np.ndarray) -> CorrelationMatrix:
 def mu_forward(
     params: ModelParams, l: np.ndarray
 ) -> tuple[np.ndarray, MlpTape | None, np.ndarray]:
-    """Latent means for one standardized feature vector.
+    """Latent means for standardized features ``(m,)`` or a batch ``(B, m)``.
 
     Returns ``(mu, tape, h)`` where ``h = W @ extractor(l)`` is the
-    environment embedding and ``mu[j] = s_j . h``. The tape (None for the
-    identity extractor) is retained for backpropagation.
+    environment embedding and ``mu[j] = s_j . h``, each with the leading
+    axis of ``l``. The tape (None for the identity extractor) is retained
+    for backpropagation.
     """
     l = np.asarray(l, dtype=float)
-    if l.shape != (params.n_features,):
-        raise DimMismatch(f"feature vector shape {l.shape} != ({params.n_features},)")
+    if l.ndim not in (1, 2) or l.shape[-1] != params.n_features:
+        raise DimMismatch(
+            f"feature shape {l.shape} is neither ({params.n_features},) "
+            f"nor (B, {params.n_features})"
+        )
     if params.mlp is None:
         out, tape = l, None
     else:
         out, tape = mlp_forward(params.mlp, l)
-    h = params.W @ out
-    return params.S.T @ h, tape, h
+    h = out @ params.W.T
+    return h @ params.S, tape, h
 
 
 def predict_marginal(params: ModelParams, l: np.ndarray) -> np.ndarray:
     """Per-species presence probabilities ``Phi(mu_j)`` for standardized ``l``.
+
+    ``l`` may be one feature vector or a batch ``(B, m)``.
 
     Marginals depend only on the habitat side of the model; the interaction
     embeddings never enter.
@@ -308,12 +314,7 @@ def log_likelihood_obs(
 
     The result is the log of a probability, hence in ``(-inf, 0]``; the
     value is floored at the smallest positive normal to keep it finite.
-    With the identity correlation the closed-form probit factorization is
-    used instead of quadrature.
     """
-    if problem is not None and _is_identity(problem.cov):
-        mu, _, _ = mu_forward(params, obs.l)
-        return _independent_loglik(mu, obs.b)
     est = joint_probability(params, obs.b, obs.l, tol, max_samples, seed, problem)
     if not est.tolerance_reached:
         log.warning(
@@ -321,16 +322,6 @@ def log_likelihood_obs(
             tol, est.error_estimate, est.samples_used,
         )
     return math.log(max(est.value, 1e-300))
-
-
-def _is_identity(cov: np.ndarray) -> bool:
-    return cov.shape[0] == cov.shape[1] and np.array_equal(cov, np.eye(cov.shape[0]))
-
-
-def _independent_loglik(mu: np.ndarray, b: np.ndarray) -> float:
-    """Sum of probit log-marginals; exact when correlations vanish."""
-    signs = 2.0 * np.asarray(b, dtype=float) - 1.0
-    return float(np.sum(log_ndtr(signs * mu)))
 
 
 def log_likelihood_dataset(
@@ -354,12 +345,11 @@ def log_likelihood_dataset(
         return 0.0
     if sigma is None:
         sigma = sigma_from_lambda(params.Lambda_raw).sigma
-    if _is_identity(sigma):
-        total = 0.0
-        for obs in observations:
-            mu, _, _ = mu_forward(params, obs.l)
-            total += _independent_loglik(mu, obs.b)
-        return total
+    if np.array_equal(sigma, np.eye(params.n_species)):
+        # Independent probit marginals: exact, no integration.
+        mu, _, _ = mu_forward(params, np.array([obs.l for obs in observations]))
+        signs = 2.0 * np.array([obs.b for obs in observations]) - 1.0
+        return float(np.sum(log_ndtr(signs * mu)))
     shared = MvnProblem(np.zeros(params.n_species), sigma)
     total = 0.0
     for i, obs in enumerate(observations):

@@ -10,11 +10,13 @@ gradients:
   controlled error estimate, computed by the sequential-conditioning
   transform to the unit hypercube and randomized lattice integration.
 - Gibbs sampling of the normal restricted to an axis-aligned rectangle,
-  with numerically safe truncated univariate draws.
+  with numerically safe truncated univariate draws. A problem's mean and a
+  rectangle's bounds may carry a leading batch axis (one covariance, many
+  means), which the sampler advances together.
 
 All operations are pure given their inputs plus an explicit seed; values
-are shareable across threads, and the Cholesky factor is computed at
-construction time (no interior mutation afterwards).
+are immutable, and the Cholesky factor is computed at construction time
+(no interior mutation afterwards).
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 # exponential rejection.
 _FAR_TAIL = 4.0
 
+#: Gibbs chains run per observation (fewer when fewer draws are asked for).
+CHAINS = 32
+
 
 # ---------------------------------------------------------------------------
 # Domain types
@@ -70,8 +75,10 @@ class Rectangle:
     """Axis-aligned integration region ``[lower_j, upper_j]`` per coordinate.
 
     Bounds are IEEE floats; infinite ends are encoded as ``-inf``/``+inf``.
-    ``widened`` lists coordinates whose clipping window had to be enlarged
-    to keep the rectangle nonempty (see :func:`clip_rectangle`).
+    Bounds of shape ``(B, n)`` hold one rectangle per row of a batch.
+    ``widened`` lists the flat indices into the bounds (the coordinates, for
+    one rectangle) whose clipping window had to be enlarged to keep the
+    rectangle nonempty (see :func:`clip_rectangle`).
     """
 
     lower: np.ndarray
@@ -81,17 +88,19 @@ class Rectangle:
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
         hi = np.asarray(self.upper, dtype=float)
-        if lo.ndim != 1 or lo.shape != hi.shape:
+        if lo.ndim not in (1, 2) or lo.shape != hi.shape:
             raise DimMismatch(f"bound shapes differ: {lo.shape} vs {hi.shape}")
         if not np.all(lo < hi):
-            bad = int(np.argmin(hi - lo))
-            raise ValueError(f"empty rectangle at coordinate {bad}: [{lo[bad]}, {hi[bad]}]")
+            bad = np.unravel_index(np.argmin(hi - lo), lo.shape)
+            raise ValueError(
+                f"empty rectangle at coordinate {bad[-1]}: [{lo[bad]}, {hi[bad]}]"
+            )
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
     @property
     def dim(self) -> int:
-        return self.lower.shape[0]
+        return self.lower.shape[-1]
 
     @classmethod
     def from_presence(cls, bits) -> "Rectangle":
@@ -114,7 +123,8 @@ class MvnProblem:
 
     The Cholesky factor and precision matrix are computed at construction
     (one jitter retry, see :func:`cholesky`). Problems sharing one
-    covariance reuse the factorization through :meth:`with_mean`.
+    covariance reuse the factorization through :meth:`with_mean`. A mean of
+    shape ``(B, n)`` makes a batch of ``B`` problems with one covariance.
     """
 
     mean: np.ndarray
@@ -124,9 +134,11 @@ class MvnProblem:
     jitter_applied: bool = False
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
+        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         cov = np.asarray(self.cov, dtype=float)
-        n = mean.shape[0]
+        if mean.ndim > 2:
+            raise DimMismatch(f"mean must be (n,) or (B, n), got shape {mean.shape}")
+        n = mean.shape[-1]
         if n < 1:
             raise DimMismatch("dimension must be >= 1")
         if cov.shape != (n, n):
@@ -155,7 +167,7 @@ class MvnProblem:
 
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
 
     @property
     def log_det_cov(self) -> float:
@@ -180,7 +192,13 @@ class CdfEstimate:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Configuration of the truncated-normal Gibbs sampler."""
+    """Configuration of the truncated-normal Gibbs sampler.
+
+    Each observation runs :attr:`chains` chains (``CHAINS``, or fewer when
+    ``n_samples`` is smaller), and ``n_samples`` is rounded up to whole
+    chains. Each chain discards ``burn_in_sweeps`` sweeps, then keeps one
+    draw every ``thinning`` sweeps.
+    """
 
     n_samples: int = 256
     burn_in_sweeps: int = 50
@@ -197,6 +215,10 @@ class SamplerConfig:
             raise ValueError("cutoff_k must be >= 3")
         if self.burn_in_sweeps < 0:
             raise ValueError("burn_in_sweeps must be >= 0")
+
+    @property
+    def chains(self) -> int:
+        return min(CHAINS, self.n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +257,22 @@ def cholesky(cov: np.ndarray) -> tuple[np.ndarray, bool]:
         ) from exc
 
 
+def _batch_shape(problem: MvnProblem, rect: Rectangle) -> tuple[int, ...]:
+    """Common leading batch shape of a problem and a rectangle."""
+    if rect.dim != problem.dim:
+        raise DimMismatch(f"rectangle dim {rect.dim} != problem dim {problem.dim}")
+    try:
+        return np.broadcast_shapes(problem.mean.shape, rect.lower.shape)[:-1]
+    except ValueError:
+        raise DimMismatch(
+            f"batch shapes differ: mean {problem.mean.shape}, bounds {rect.lower.shape}"
+        ) from None
+
+
 def mvn_logpdf(problem: MvnProblem, x: np.ndarray) -> float:
     """Log-density of ``problem`` at ``x``."""
+    if problem.mean.ndim != 1:
+        raise DimMismatch("log-density takes a single problem, not a batch")
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != problem.dim:
         raise DimMismatch(f"point has dim {x.shape[0]}, problem has {problem.dim}")
@@ -462,6 +498,8 @@ def cdf_rectangle(
     seed:
         Seed for the randomization shifts; fixed seed gives a fixed result.
     """
+    if problem.mean.ndim != 1 or rect.lower.ndim != 1:
+        raise DimMismatch("rectangle probabilities take a single problem, not a batch")
     if rect.dim != problem.dim:
         raise DimMismatch(f"rectangle dim {rect.dim} != problem dim {problem.dim}")
     n = problem.dim
@@ -521,23 +559,19 @@ def clip_rectangle(rect: Rectangle, problem: MvnProblem, k: float) -> Rectangle:
     """Clip infinite rectangle ends at ``mean_j +/- k * sd_j``.
 
     If clipping would empty a coordinate (mean far outside the rectangle),
-    the window for that coordinate is widened just enough to cover the
-    rectangle end nearest the mean, and the coordinate index is recorded
-    in ``widened``.
+    the window for that coordinate is re-centred on the rectangle-projected
+    mean, which keeps it nonempty, and its flat index is recorded in
+    ``widened``. Batched problems and rectangles clip row by row.
     """
-    if rect.dim != problem.dim:
-        raise DimMismatch(f"rectangle dim {rect.dim} != problem dim {problem.dim}")
+    _batch_shape(problem, rect)
     sd = np.sqrt(np.diag(problem.cov))
     lo = np.maximum(rect.lower, problem.mean - k * sd)
     hi = np.minimum(rect.upper, problem.mean + k * sd)
-    widened = []
-    for j in np.nonzero(lo >= hi)[0]:
-        # Re-center the window on the rectangle-projected mean.
-        c = min(max(problem.mean[j], rect.lower[j]), rect.upper[j])
-        lo[j] = max(rect.lower[j], c - k * sd[j])
-        hi[j] = min(rect.upper[j], c + k * sd[j])
-        widened.append(int(j))
-    return Rectangle(lo, hi, tuple(widened))
+    empty = lo >= hi
+    c = np.clip(problem.mean, rect.lower, rect.upper)
+    lo = np.where(empty, np.maximum(rect.lower, c - k * sd), lo)
+    hi = np.where(empty, np.minimum(rect.upper, c + k * sd), hi)
+    return Rectangle(lo, hi, tuple(int(i) for i in np.flatnonzero(empty)))
 
 
 # ---------------------------------------------------------------------------
@@ -545,91 +579,89 @@ def clip_rectangle(rect: Rectangle, problem: MvnProblem, k: float) -> Rectangle:
 # ---------------------------------------------------------------------------
 
 
-def _trunc_std_normal(uniform, a: float, b: float) -> float:
-    """One draw of a standard normal conditioned on ``[a, b]``.
+def _trunc_std_normal(rng: np.random.Generator, u, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One draw per entry of a standard normal conditioned on ``[a, b]``.
 
-    Inverse-CDF in the bulk; translated-exponential rejection (Robert's
-    method) when the interval lies beyond ``_FAR_TAIL`` standard
-    deviations, where the inverse CDF loses precision.
+    Intervals above zero are mirrored below it, where ``ndtr`` keeps full
+    relative precision. The inverse CDF of ``u`` (one uniform per entry)
+    gives the bulk draws; intervals beyond ``_FAR_TAIL`` standard
+    deviations, where the inverse CDF loses precision, use
+    translated-exponential rejection (Robert's method) with draws from
+    ``rng``, repeated for the entries still pending.
     """
-    if a >= _FAR_TAIL:
-        lam = 0.5 * (a + math.sqrt(a * a + 4.0))
-        cap = 1.0 if math.isinf(b) else 1.0 - math.exp(-lam * (b - a))
-        while True:
-            z = a - math.log(1.0 - uniform() * cap) / lam
-            d = z - lam
-            if math.log(uniform() + 1e-300) <= -0.5 * d * d:
-                return z
-    if b <= -_FAR_TAIL:
-        return -_trunc_std_normal(uniform, -b, -a)
-    pa = ndtr(a)
-    pb = ndtr(b)
-    return float(ndtri(pa + (pb - pa) * uniform()))
+    flip = a > 0
+    lo, hi = np.where(flip, -b, a), np.where(flip, -a, b)
+    p_lo = ndtr(lo)
+    z = ndtri(p_lo + (ndtr(hi) - p_lo) * u)
+    tail = np.flatnonzero(hi <= -_FAR_TAIL)
+    # Rejection on the upper-tail interval [ta, tb], negated back below zero.
+    ta, tb = -hi[tail], -lo[tail]
+    lam = 0.5 * (ta + np.sqrt(ta * ta + 4.0))
+    cap = -np.expm1(-lam * (tb - ta))
+    pending = np.arange(tail.size)
+    while pending.size:
+        v = rng.random((2, pending.size))
+        cand = ta[pending] - np.log1p(-v[0] * cap[pending]) / lam[pending]
+        ok = np.log(v[1] + 1e-300) <= -0.5 * (cand - lam[pending]) ** 2
+        z[tail[pending[ok]]] = -cand[ok]
+        pending = pending[~ok]
+    return np.where(flip, -z, z)
 
 
 def sample_truncated(problem: MvnProblem, rect: Rectangle, cfg: SamplerConfig) -> np.ndarray:
-    """Draw ``cfg.n_samples`` from ``problem`` restricted to ``rect``.
+    """Draw about ``cfg.n_samples`` from ``problem`` restricted to ``rect``.
 
     A systematic-scan Gibbs sampler: coordinate ``j`` is redrawn from its
     univariate normal conditional (precision parameterization, with the
     precision matrix computed once from the Cholesky factor), truncated to
-    ``[rect.lower[j], rect.upper[j]]``. The chain starts at the
-    rectangle-projected mean; ``burn_in_sweeps`` full sweeps are
-    discarded, then one sample is kept every ``thinning`` sweeps. The
-    output is deterministic given ``cfg.rng_seed``.
+    ``[rect.lower[j], rect.upper[j]]``. Each observation of a batch runs
+    ``cfg.chains`` chains from its rectangle-projected mean; all chains of
+    all observations advance as one array, looping only over coordinates.
+    Returns ``batch + (chains * per_chain, n)`` draws, chain-major, with
+    ``per_chain = ceil(n_samples / chains)``; deterministic given
+    ``cfg.rng_seed``.
 
     The rectangle should already be clipped to finite bounds via
     :func:`clip_rectangle`; infinite bounds are accepted but slow the
     far-tail draws.
     """
+    batch = _batch_shape(problem, rect)
     n = problem.dim
-    if rect.dim != n:
-        raise DimMismatch(f"rectangle dim {rect.dim} != problem dim {n}")
     q = problem.precision
     if not np.all(np.isfinite(q)):
         raise SingularCovariance("precision matrix is not finite")
-    mu = problem.mean
+    chains = cfg.chains
+    kept = -(-cfg.n_samples // chains)
     rng = np.random.default_rng(cfg.rng_seed)
-    uniform = rng.random
 
-    lo = rect.lower.tolist()
-    hi = rect.upper.tolist()
-    mu_l = mu.tolist()
-    q_rows = [q[j].tolist() for j in range(n)]
-    cond_sd = [1.0 / math.sqrt(q[j, j]) for j in range(n)]
-    cond_var = [cond_sd[j] * cond_sd[j] for j in range(n)]
+    def per_row(a):
+        # (n, rows): coordinate-major so each update touches one contiguous row.
+        a = np.broadcast_to(a, batch + (n,)).reshape(-1, n)
+        return np.repeat(a, chains, axis=0).T.copy()
+
+    mu, lo, hi = per_row(problem.mean), per_row(rect.lower), per_row(rect.upper)
     # Open-interval clamp targets so rounding cannot park a draw on a bound.
-    lo_in = [math.nextafter(lo[j], math.inf) for j in range(n)]
-    hi_in = [math.nextafter(hi[j], -math.inf) for j in range(n)]
+    lo_in = np.nextafter(lo, np.inf)
+    hi_in = np.nextafter(hi, -np.inf)
+    cond_var = 1.0 / np.diag(q)
+    cond_sd = np.sqrt(cond_var)
+    q_off = q - np.diag(np.diag(q))
 
     # Rectangle-projected mean as the starting state.
-    x = [min(max(mu_l[j], lo[j]), hi[j]) for j in range(n)]
-    dx = [x[j] - mu_l[j] for j in range(n)]
-
-    out = np.empty((cfg.n_samples, n))
-    kept = 0
-    sweep = 0
-    burn = cfg.burn_in_sweeps
-    thin = cfg.thinning
-    while kept < cfg.n_samples:
-        sweep += 1
+    x = np.clip(mu, lo, hi)
+    dx = x - mu
+    out = np.empty((kept, n, x.shape[1]))
+    burn, thin = cfg.burn_in_sweeps, cfg.thinning
+    for sweep in range(1, burn + kept * thin + 1):
+        u = rng.random(x.shape)
         for j in range(n):
-            row = q_rows[j]
-            s = 0.0
-            for t in range(n):
-                if t != j:
-                    s += row[t] * dx[t]
-            cm = mu_l[j] - s * cond_var[j]
+            cm = mu[j] - cond_var[j] * (q_off[j] @ dx)
             cs = cond_sd[j]
-            z = _trunc_std_normal(uniform, (lo[j] - cm) / cs, (hi[j] - cm) / cs)
-            v = cm + cs * z
-            if v <= lo[j]:
-                v = lo_in[j]
-            elif v >= hi[j]:
-                v = hi_in[j]
-            x[j] = v
-            dx[j] = v - mu_l[j]
+            z = _trunc_std_normal(rng, u[j], (lo[j] - cm) / cs, (hi[j] - cm) / cs)
+            x[j] = np.clip(cm + cs * z, lo_in[j], hi_in[j])
+            dx[j] = x[j] - mu[j]
         if sweep > burn and (sweep - burn) % thin == 0:
-            out[kept] = x
-            kept += 1
-    return out
+            out[(sweep - burn) // thin - 1] = x
+    # (kept, n, batch * chains) -> batch + (chains * kept, n), chain-major.
+    out = out.reshape(kept, n, -1, chains).transpose(2, 3, 0, 1)
+    return out.reshape(batch + (chains * kept, n))

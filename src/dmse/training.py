@@ -1,14 +1,14 @@
 """Stochastic-gradient maximum-likelihood training with AdaGrad.
 
-One step: draw a minibatch, estimate each observation's log-likelihood
-gradient by Monte Carlo (the correlation matrix, its factor, and its
-inverse are computed once per minibatch since they do not depend on the
-features), average the bundles, and apply an AdaGrad ascent update.
+One step: draw a minibatch and estimate its mean log-likelihood gradient
+by Monte Carlo, then apply an AdaGrad ascent update. The minibatch is the
+unit of work: one forward pass, one Gibbs sampler call over every
+observation's chains (from one seeded stream per step), and one chain-rule
+assembly. The correlation matrix, its factor, and its inverse are computed
+once per step since they do not depend on the features.
 
-The observations of a minibatch are processed one after another, each
-drawing from its own seeded stream. Each step also logs a cheap estimate
-of the minibatch log-likelihood (one lattice pass per observation)
-together with its relative error.
+Each step also logs a cheap estimate of the minibatch log-likelihood (one
+lattice pass per observation) together with its relative error.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .gradients import GradientBundle, assemble_bundle, grad_mu_sigma
 from .mlp import DEFAULT_HIDDEN_DIMS, MlpGrads
 from .model import (
     ModelParams,
+    Observation,
     init_model_params,
     log_likelihood_dataset,
     mu_forward,
@@ -164,43 +165,34 @@ def adagrad_step(
     return params, state
 
 
-def _observation_gradient(params, obs, shared_problem, sampler_cfg, cdf_tol):
-    """Gradient bundle and one-pass log-likelihood estimate for one observation.
-
-    Returns ``(bundle, loglik, loglik_rel_err, grad_se)``.
-    """
-    mu, tape, h = mu_forward(params, obs.l)
-    problem = shared_problem.with_mean(mu)
-    rect = Rectangle.from_presence(obs.b)
-    musig = grad_mu_sigma(problem, rect, sampler_cfg)
-    bundle = assemble_bundle(params, obs, musig, tape, h)
-    est = cdf_rectangle(
-        problem, rect, tol=cdf_tol, max_samples=LOGLIK_MAX_SAMPLES, seed=sampler_cfg.rng_seed
-    )
-    value = max(est.value, 1e-300)
-    return bundle, float(np.log(value)), est.error_estimate / value, float(np.mean(musig.se_mu))
-
-
-def _minibatch_bundle(params, batch, indices, cfg, sampler_seed):
+def _minibatch_bundle(params, presence, features, indices, cfg, sampler_seed, loglik_seed):
     """Averaged bundle plus logging statistics for one minibatch.
 
+    ``indices`` pick the minibatch's rows of the standardized ``presence``
+    and ``features`` matrices. The sampler draws from ``sampler_seed``;
+    row ``i`` integrates its logged likelihood with ``loglik_seed ^ i``.
     Returns ``(bundle, mean_loglik, mean_loglik_rel_err, mean_grad_se)``.
     """
     sigma = sigma_from_lambda(params.Lambda_raw).sigma
     shared = MvnProblem(np.zeros(params.n_species), sigma)
-    total = GradientBundle.zeros_like(params)
+    bits, feats = presence[indices], features[indices]
+    mu, tape, h = mu_forward(params, feats)
+    musig = grad_mu_sigma(
+        shared.with_mean(mu),
+        Rectangle.from_presence(bits),
+        replace(cfg.sampler, rng_seed=sampler_seed),
+    )
+    bundle = assemble_bundle(params, Observation(bits, feats), musig, tape, h)
     stats = []
-    for obs, ds_index in zip(batch, indices):
-        cfg_i = replace(cfg.sampler, rng_seed=sampler_seed ^ int(ds_index))
-        bundle, loglik, rel_err, se = _observation_gradient(
-            params, obs, shared, cfg_i, cfg.cdf_tol
+    for i, row_mu, row_bits in zip(indices, mu, bits):
+        est = cdf_rectangle(
+            shared.with_mean(row_mu), Rectangle.from_presence(row_bits),
+            tol=cfg.cdf_tol, max_samples=LOGLIK_MAX_SAMPLES, seed=loglik_seed ^ int(i),
         )
-        total.add_(bundle)
-        stats.append((loglik, rel_err, se))
-    total.scale_(1.0 / len(batch))
-    total.n_obs = len(batch)
-    mean_ll, mean_err, mean_se = np.mean(stats, axis=0)
-    return total, float(mean_ll), float(mean_err), float(mean_se)
+        value = max(est.value, 1e-300)
+        stats.append((np.log(value), est.error_estimate / value))
+    mean_ll, mean_err = np.mean(stats, axis=0)
+    return bundle, float(mean_ll), float(mean_err), float(np.mean(musig.se_mu))
 
 
 def train(
@@ -219,21 +211,23 @@ def train(
 
     Aborts (raising :class:`NonFiniteGradient`) only if more than half the
     steps of an epoch were skipped for non-finite gradients. Raises
-    :class:`ConfigError` when ``cfg.d2`` is below the species count: the
+    :class:`ConfigError` when ``cfg.d2`` is below the species count (the
     correlation matrix would then be rank-deficient and its jittered
-    inverse would make the gradient estimates meaningless.
+    inverse would make the gradient estimates meaningless) or when
+    ``cfg.minibatch_size`` exceeds the dataset, and
+    :class:`~dmse.errors.DimMismatch` for fewer than two observations.
     """
     if cfg.d2 < dataset.n_species:
         raise ConfigError(
             f"d2={cfg.d2} is below the species count n_species={dataset.n_species}; "
             f"the correlation matrix would be rank-deficient (need d2 >= n_species)"
         )
-    n_obs = len(dataset)
-    if n_obs == 0:
-        raise ValueError("dataset is empty")
-    if cfg.minibatch_size > n_obs:
-        raise ValueError("minibatch_size exceeds the dataset size")
     std_data, stats = standardize(dataset)
+    n_obs = len(dataset)
+    if cfg.minibatch_size > n_obs:
+        raise ConfigError(
+            f"minibatch_size={cfg.minibatch_size} exceeds the dataset size n_obs={n_obs}"
+        )
     params = init_model_params(
         dataset.species_names,
         dataset.feature_names,
@@ -254,7 +248,8 @@ def train(
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
     sampler_base = derive_seed(cfg.seed, "sampler")
     eval_seed = derive_seed(cfg.seed, "eval")
-    observations = std_data.observations
+    presence = std_data.presence_matrix()
+    features = std_data.feature_matrix()
     t0 = time.monotonic()
     step = 0
     best_val = -np.inf
@@ -265,12 +260,12 @@ def train(
         steps_this_epoch = 0
         for start in range(0, n_obs, cfg.minibatch_size):
             idx = order[start : start + cfg.minibatch_size]
-            batch = [observations[i] for i in idx]
-            sampler_seed = sampler_base ^ (epoch << 32)
-            bundle, mean_ll, mean_ll_err, mean_se = _minibatch_bundle(
-                params, batch, idx, cfg, sampler_seed
-            )
             step += 1
+            bundle, mean_ll, mean_ll_err, mean_se = _minibatch_bundle(
+                params, presence, features, idx, cfg,
+                sampler_seed=derive_seed(sampler_base, step),
+                loglik_seed=sampler_base ^ (epoch << 32),
+            )
             steps_this_epoch += 1
             skipped = False
             try:

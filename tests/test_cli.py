@@ -78,12 +78,15 @@ class TestConfigParsing:
             "seed": "9", "eval_every": "50", "d1": "7", "d2": "5",
             "hidden_dims": "32,16", "patience": "2",
             "n_samples": "64", "burn_in_sweeps": "20", "thinning": "3",
-            "cutoff_k": "4.5", "rng_seed": "11",
+            "cutoff_k": "4.5",
         })
         assert cfg.learning_rate == 0.2
         assert cfg.hidden_dims == (32, 16)
         assert cfg.sampler.n_samples == 64
         assert cfg.sampler.cutoff_k == 4.5
+        # Training derives the sampler seed per step, so it is not a key.
+        with pytest.raises(ConfigError, match="unknown config key 'rng_seed'"):
+            build_train_config({"rng_seed": "11"})
 
     def test_hidden_dims_none(self):
         cfg = build_train_config({"hidden_dims": "none"})
@@ -146,6 +149,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: ConfigError:" in err
         assert "d2=3" in err and "n_species=6" in err
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_minibatch_larger_than_dataset_is_2(self, tmp_path, capsys, command):
+        # Six rows: train sees all six, each 2-fold cv training split three.
+        rows = "".join(f"{i % 2},{0.5 * i}\n" for i in range(6))
+        data = write(tmp_path, "d.csv", "sp:a,env:x\n" + rows)
+        cfg = write(tmp_path, "t.cfg", FAST_TRAIN)
+        out = ["--out", str(tmp_path / "m.dmse")] if command == "train" else [
+            "--out-dir", str(tmp_path / "cv"), "--k", "2"]
+        code = main([command, "--data", data, "--config", cfg] + out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError:")
+        n_obs = 6 if command == "train" else 3
+        assert "minibatch_size=8" in err and f"n_obs={n_obs}" in err
+
+    @pytest.mark.parametrize("n_rows", [0, 1])
+    def test_fewer_than_two_rows_is_3(self, tmp_path, capsys, n_rows):
+        data = write(tmp_path, "d.csv", "sp:a,env:x\n" + "1,0.0\n" * n_rows)
+        cfg = write(tmp_path, "t.cfg", FAST_TRAIN)
+        code = main(["train", "--data", data, "--config", cfg,
+                     "--out", str(tmp_path / "m.dmse")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: DimMismatch:")
 
     def test_eval_dim_mismatch_is_3_and_names_species(self, workspace, capsys, tmp_path):
         ws, data, cfg, model = workspace

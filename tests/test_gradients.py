@@ -325,6 +325,32 @@ class TestAssembleBundle:
         for g in bundle.d_mlp.weights + bundle.d_mlp.biases:
             np.testing.assert_array_equal(g, 0.0)
 
+    def test_batch_is_mean_of_single_rows(self):
+        from dmse.gradients import MuSigmaGrad
+
+        params = tiny_model(seed=4)
+        rng = np.random.default_rng(40)
+        rows = [Observation(rng.integers(0, 2, 2), rng.normal(size=2)) for _ in range(5)]
+        d_mu = rng.normal(size=(5, 2))
+        d_sigma = rng.normal(size=(5, 2, 2))
+        d_sigma = d_sigma + np.swapaxes(d_sigma, 1, 2)
+        singles = []
+        for i, obs in enumerate(rows):
+            _, tape, h = mu_forward(params, obs.l)
+            musig = MuSigmaGrad(d_mu[i], d_sigma[i], np.zeros(2), np.zeros((2, 2)))
+            singles.append(assemble_bundle(params, obs, musig, tape, h))
+        stacked = Observation([o.b for o in rows], [o.l for o in rows])
+        _, tape, h = mu_forward(params, stacked.l)
+        musig = MuSigmaGrad(d_mu, d_sigma, np.zeros((5, 2)), np.zeros((5, 2, 2)))
+        batch = assemble_bundle(params, stacked, musig, tape, h)
+        assert batch.n_obs == 5
+
+        def tensors(b):
+            return [b.d_S, b.d_Lambda_raw, b.d_W] + b.d_mlp.weights + b.d_mlp.biases
+
+        for got, *parts in zip(tensors(batch), *map(tensors, singles)):
+            np.testing.assert_allclose(got, np.mean(parts, axis=0), rtol=0, atol=1e-12)
+
     def test_raw_column_scale_does_not_change_loglik(self):
         params = tiny_model(seed=5)
         obs = Observation([1, 1], [0.3, 0.1])
@@ -388,15 +414,6 @@ class TestAssembleBundle:
 
 
 class TestGradientBundle:
-    def test_add_and_scale(self):
-        params = tiny_model(seed=2)
-        a = GradientBundle.zeros_like(params)
-        b = GradientBundle.zeros_like(params)
-        b.d_S += 2.0
-        b.n_obs = 1
-        a.add_(b).scale_(0.5)
-        np.testing.assert_array_equal(a.d_S, 1.0)
-
     def test_is_finite_detects_nan(self):
         params = tiny_model(seed=3)
         b = GradientBundle.zeros_like(params)

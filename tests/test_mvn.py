@@ -300,6 +300,14 @@ class TestSampleTruncated:
         draws = sample_truncated(p, rect, cfg)
         assert np.all(draws > rect.lower)
         assert np.all(draws < rect.upper)
+        # Two observations in one call, with disjoint rectangles: each row
+        # stays inside its own bounds.
+        batch = p.with_mean(np.stack([p.mean, -p.mean]))
+        rects = clip_rectangle(Rectangle.from_presence([[1, 0, 1], [0, 1, 0]]), batch, 5.0)
+        draws = sample_truncated(batch, rects, cfg)
+        assert draws.shape[0] == 2
+        assert np.all(draws > rects.lower[:, None, :])
+        assert np.all(draws < rects.upper[:, None, :])
 
     def test_reproducible_bitwise(self):
         cov = np.array([[1.0, -0.4], [-0.4, 1.0]])

@@ -182,7 +182,7 @@ class TestTrain:
 
     def test_minibatch_larger_than_dataset_rejected(self):
         ds, _ = synth_generate(SynthSpec(n_species=1, m_features=1, n_obs=3, seed=8))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"minibatch_size=8.*n_obs=3"):
             train(ds, quick_cfg(minibatch_size=8), init_seed=0)
 
     def test_log_records_have_contract_fields(self):
