@@ -25,10 +25,8 @@ from .gradients import GradientBundle, MuSigmaGrad, assemble_bundle, grad_mu_sig
 from .checkpoint import load_checkpoint, save_checkpoint
 from .mlp import MlpParams, MlpTape, mlp_backward, mlp_forward, mlp_init
 from .model import (
-    CorrelationMatrix,
     FeatureStandardization,
     ModelParams,
-    Observation,
     init_model_params,
     joint_probability,
     log_likelihood_dataset,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -183,7 +184,10 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=derive_seed(args.seed, "train"))
     if args.patience is not None:
-        cfg = replace(cfg, patience=args.patience)
+        try:
+            cfg = replace(cfg, patience=args.patience)
+        except ValueError as exc:
+            raise ConfigError(f"--patience: {exc}") from exc
     dataset = dataio.load_csv(args.data)
     init_seed = derive_seed(args.seed if args.seed is not None else cfg.seed, "init")
     log_path = args.out + ".log"
@@ -194,7 +198,14 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_tol(tol: float) -> None:
+    # A tolerance that can never be met runs every integral to its budget.
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"--tol must be finite and > 0, got {tol!r}")
+
+
 def cmd_eval(args) -> int:
+    _check_tol(args.tol)
     params = load_checkpoint(args.model)
     dataset = dataio.load_csv(args.data)
     report = evaluate(params, dataset, cdf_tol=args.tol, seed=args.seed)
@@ -219,6 +230,7 @@ def _parse_patterns(spec: str, n: int) -> list[np.ndarray]:
 
 
 def cmd_predict(args) -> int:
+    _check_tol(args.tol)
     params = load_checkpoint(args.model)
     feature_names, feats = dataio.load_features_csv(args.features_csv)
     if feature_names != params.feature_names:
@@ -233,17 +245,14 @@ def cmd_predict(args) -> int:
                 "joint pattern queries are limited to models with at most 10 species"
             )
         patterns = _parse_patterns(args.joint_patterns, params.n_species)
-    sigma = sigma_from_lambda(params.Lambda_raw).sigma
-    shared = MvnProblem(np.zeros(params.n_species), sigma)
-    std = params.standardization
+    shared = MvnProblem(np.zeros(params.n_species), sigma_from_lambda(params.Lambda_raw))
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["sp:" + s for s in params.species_names]
             + ["pattern:" + "".join(str(int(v)) for v in p) for p in patterns]
         )
-        for i in range(feats.shape[0]):
-            l_std = std.apply(feats[i])
+        for i, l_std in enumerate(params.standardization.apply(feats)):
             row = [repr(float(p)) for p in predict_marginal(params, l_std)]
             for k, pattern in enumerate(patterns):
                 est = joint_probability(
@@ -261,7 +270,7 @@ def cmd_export(args) -> int:
     params = load_checkpoint(args.model)
     os.makedirs(args.out_dir, exist_ok=True)
     names = params.species_names
-    sigma = sigma_from_lambda(params.Lambda_raw).sigma
+    sigma = sigma_from_lambda(params.Lambda_raw)
     write_embeddings_tsv(os.path.join(args.out_dir, "habitat_embeddings.tsv"), names, params.S)
     write_embeddings_tsv(
         os.path.join(args.out_dir, "interaction_embeddings.tsv"), names, params.Lambda_raw
@@ -275,9 +284,9 @@ def cmd_export(args) -> int:
 def cmd_cv(args) -> int:
     cfg = load_run_config(args.config, args.set)
     dataset = dataio.load_csv(args.data)
-    if args.k < 2:
-        raise ConfigError(f"k must be >= 2, got {args.k}")
-    splits = kfold_split(dataset, args.k, seed=derive_seed(args.seed, "folds"))
+    if not 2 <= args.k <= len(dataset):
+        raise ConfigError(f"--k must be in [2, n_obs={len(dataset)}], got {args.k}")
+    splits = kfold_split(len(dataset), args.k, seed=derive_seed(args.seed, "folds"))
     os.makedirs(args.out_dir, exist_ok=True)
     metrics = []
     for i, (trn, val) in enumerate(splits):

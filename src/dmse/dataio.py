@@ -1,5 +1,9 @@
 """Checklist dataset ingestion, validation, and synthetic generation.
 
+A dataset is two row-aligned arrays: an ``(N, n)`` 0/1 presence matrix
+over species and an ``(N, m)`` matrix of environmental features, one row
+per checklist, validated once at construction.
+
 The on-disk format is a UTF-8 CSV with a header row. Presence columns are
 named ``sp:<name>`` and hold 0/1; feature columns are named ``env:<name>``
 and hold finite reals. Column order is preserved on load and save.
@@ -21,7 +25,7 @@ from .errors import (
     NonFiniteFeature,
 )
 from .mlp import mlp_forward, mlp_init
-from .model import FeatureStandardization, Observation
+from .model import FeatureStandardization
 from .seeding import derive_seed
 
 __all__ = [
@@ -46,24 +50,43 @@ MU_MAP_KINDS = ("linear", "mlp-random", "radial")
 
 @dataclass
 class Dataset:
-    """A list of observations sharing one species/feature schema."""
+    """Checklists as row-aligned presence and feature matrices.
 
-    observations: list[Observation]
+    ``presence`` is ``(N, n)`` int8 0/1 with one column per species name;
+    ``features`` is ``(N, m)`` float with one column per feature name. Row
+    ``i`` of both is checklist ``i``; with no rows the shapes stay ``(0, n)``
+    and ``(0, m)``. Construction raises :class:`MalformedHeader` for
+    duplicate names, :class:`DimMismatch` for shapes that disagree, and
+    ``ValueError`` for presence entries other than 0/1.
+    """
+
+    presence: np.ndarray
+    features: np.ndarray
     species_names: list[str]
     feature_names: list[str]
 
     def __post_init__(self):
-        if len(set(self.species_names)) != len(self.species_names):
-            raise MalformedHeader("duplicate species names")
-        if len(set(self.feature_names)) != len(self.feature_names):
-            raise MalformedHeader("duplicate feature names")
-        n, m = len(self.species_names), len(self.feature_names)
-        for i, obs in enumerate(self.observations):
-            if obs.b.shape[0] != n or obs.l.shape[0] != m:
-                raise DimMismatch(f"observation {i} does not match the schema")
+        self.species_names = list(self.species_names)
+        self.feature_names = list(self.feature_names)
+        for kind, names in (("species", self.species_names), ("feature", self.feature_names)):
+            if len(set(names)) != len(names):
+                raise MalformedHeader(f"duplicate {kind} names")
+        presence = np.asarray(self.presence)
+        features = np.asarray(self.features, dtype=float)
+        rows = presence.shape[:1]
+        expected = rows + (self.n_species,), rows + (self.n_features,)
+        if (presence.shape, features.shape) != expected:
+            raise DimMismatch(
+                f"presence {presence.shape} and features {features.shape} are not "
+                f"(N, {self.n_species}) and (N, {self.n_features})"
+            )
+        if not np.all((presence == 0) | (presence == 1)):
+            raise ValueError("presence entries must be 0 or 1")
+        self.presence = presence.astype(np.int8, copy=False)
+        self.features = features
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return len(self.presence)
 
     @property
     def n_species(self) -> int:
@@ -73,27 +96,21 @@ class Dataset:
     def n_features(self) -> int:
         return len(self.feature_names)
 
-    def presence_matrix(self) -> np.ndarray:
-        return np.array([obs.b for obs in self.observations], dtype=np.int8)
-
-    def feature_matrix(self) -> np.ndarray:
-        return np.array([obs.l for obs in self.observations], dtype=float)
-
     def subset(self, indices) -> "Dataset":
         return Dataset(
-            [self.observations[i] for i in indices],
-            list(self.species_names),
-            list(self.feature_names),
+            self.presence[indices], self.features[indices],
+            self.species_names, self.feature_names,
         )
 
 
 def _read_checklist(path, species_prefix, feature_prefix, with_presence):
     """Header-checked, cell-validated rows of a checklist CSV.
 
-    Returns ``(species_names, feature_names, rows)`` where each row is
-    ``(bits, features)``; ``bits`` is None unless ``with_presence``, in
-    which case species columns are also required. Row numbers in
-    diagnostics are 1-based, counting the header as row 1.
+    Returns ``(presence, features, species_names, feature_names)`` with
+    ``(N, n)`` int8 presence and ``(N, m)`` features. Without
+    ``with_presence`` species columns are optional and ignored (``n = 0``);
+    with it they are required. Row numbers in diagnostics are 1-based,
+    counting the header as row 1.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -116,36 +133,34 @@ def _read_checklist(path, species_prefix, feature_prefix, with_presence):
             raise MalformedHeader("no species columns")
         if not env_cols:
             raise MalformedHeader("no feature columns")
+        if not with_presence:
+            sp_cols = []
 
-        rows = []
+        bit_rows, feature_rows = [], []
         n_fields = len(header)
         for row_no, row in enumerate(reader, start=2):
             if len(row) != n_fields:
                 raise MalformedRow(
                     f"row {row_no} has {len(row)} fields, expected {n_fields}"
                 )
-            b = None
-            if with_presence:
-                b = np.empty(len(sp_cols), dtype=np.int8)
-                for k, (idx, name) in enumerate(sp_cols):
-                    cell = row[idx].strip()
-                    if cell == "0":
-                        b[k] = 0
-                    elif cell == "1":
-                        b[k] = 1
-                    else:
-                        raise NonBinaryPresence(row_no, species_prefix + name, row[idx])
-            l = np.empty(len(env_cols))
-            for k, (idx, name) in enumerate(env_cols):
+            for idx, name in sp_cols:
+                if row[idx].strip() not in ("0", "1"):
+                    raise NonBinaryPresence(row_no, species_prefix + name, row[idx])
+            bit_rows.append([int(row[idx]) for idx, _ in sp_cols])
+            l = []
+            for idx, name in env_cols:
                 try:
                     v = float(row[idx])
                 except ValueError:
                     raise NonFiniteFeature(row_no, feature_prefix + name, row[idx]) from None
                 if not math.isfinite(v):
                     raise NonFiniteFeature(row_no, feature_prefix + name, row[idx])
-                l[k] = v
-            rows.append((b, l))
-    return [name for _, name in sp_cols], [name for _, name in env_cols], rows
+                l.append(v)
+            feature_rows.append(l)
+    n_rows = len(feature_rows)
+    presence = np.array(bit_rows, dtype=np.int8).reshape(n_rows, len(sp_cols))
+    features = np.array(feature_rows, dtype=float).reshape(n_rows, len(env_cols))
+    return presence, features, [name for _, name in sp_cols], [name for _, name in env_cols]
 
 
 def load_csv(
@@ -160,8 +175,7 @@ def load_csv(
     :class:`NonBinaryPresence` / :class:`NonFiniteFeature` naming the
     offending row (1-based, counting the header as row 1) and column.
     """
-    species, features, rows = _read_checklist(path, species_prefix, feature_prefix, True)
-    return Dataset([Observation(b, l) for b, l in rows], species, features)
+    return Dataset(*_read_checklist(path, species_prefix, feature_prefix, True))
 
 
 def load_features_csv(path, feature_prefix: str = FEATURE_PREFIX) -> tuple[list[str], np.ndarray]:
@@ -170,8 +184,8 @@ def load_features_csv(path, feature_prefix: str = FEATURE_PREFIX) -> tuple[list[
     ``env:`` columns are required; ``sp:`` columns, if present, are
     ignored. Returns the feature names and an ``(N, m)`` matrix.
     """
-    _, features, rows = _read_checklist(path, SPECIES_PREFIX, feature_prefix, False)
-    return features, np.array([l for _, l in rows])
+    _, features, _, names = _read_checklist(path, SPECIES_PREFIX, feature_prefix, False)
+    return names, features
 
 
 def save_csv(dataset: Dataset, path) -> None:
@@ -182,10 +196,8 @@ def save_csv(dataset: Dataset, path) -> None:
             [SPECIES_PREFIX + s for s in dataset.species_names]
             + [FEATURE_PREFIX + f for f in dataset.feature_names]
         )
-        for obs in dataset.observations:
-            writer.writerow(
-                [str(int(v)) for v in obs.b] + [repr(float(v)) for v in obs.l]
-            )
+        for b, l in zip(dataset.presence, dataset.features):
+            writer.writerow([str(int(v)) for v in b] + [repr(float(v)) for v in l])
 
 
 def standardize(dataset: Dataset) -> tuple[Dataset, FeatureStandardization]:
@@ -196,7 +208,7 @@ def standardize(dataset: Dataset) -> tuple[Dataset, FeatureStandardization]:
     """
     if len(dataset) < 2:
         raise DimMismatch("standardization needs at least two observations")
-    feats = dataset.feature_matrix()
+    feats = dataset.features
     mean = feats.mean(axis=0)
     std = feats.std(axis=0)
     constant = std < 1e-12
@@ -210,9 +222,8 @@ def apply_standardization(dataset: Dataset, stats: FeatureStandardization) -> Da
     if stats.mean.shape[0] != dataset.n_features:
         raise DimMismatch("standardization stats do not match the feature count")
     return Dataset(
-        [Observation(obs.b, stats.apply(obs.l)) for obs in dataset.observations],
-        list(dataset.species_names),
-        list(dataset.feature_names),
+        dataset.presence, stats.apply(dataset.features),
+        dataset.species_names, dataset.feature_names,
     )
 
 
@@ -225,18 +236,14 @@ def filter_top_species(dataset: Dataset, top_k: int) -> tuple[Dataset, float]:
     n = dataset.n_species
     if not 1 <= top_k <= n:
         raise DimMismatch(f"top_k must be in [1, {n}], got {top_k}")
-    presence = dataset.presence_matrix()
-    counts = presence.sum(axis=0)
+    counts = dataset.presence.sum(axis=0)
     order = sorted(range(n), key=lambda j: (-counts[j], dataset.species_names[j]))
     keep = sorted(order[:top_k])
     total = int(counts.sum())
     coverage = float(counts[keep].sum()) / total if total > 0 else 1.0
-    observations = [
-        Observation(obs.b[keep], obs.l) for obs in dataset.observations
-    ]
     return (
-        Dataset(observations, [dataset.species_names[j] for j in keep],
-                list(dataset.feature_names)),
+        Dataset(dataset.presence[:, keep], dataset.features,
+                [dataset.species_names[j] for j in keep], dataset.feature_names),
         coverage,
     )
 
@@ -349,7 +356,8 @@ def synth_from_truth(truth: GroundTruth, n_obs: int, seed: int) -> Dataset:
     latent = mu + rng.standard_normal((n_obs, n)) @ chol.T
     bits = (latent > 0).astype(np.int8)
     return Dataset(
-        [Observation(bits[i], feats[i]) for i in range(n_obs)],
+        bits,
+        feats,
         [f"species_{j:02d}" for j in range(n)],
         [f"feature_{j:02d}" for j in range(m)],
     )

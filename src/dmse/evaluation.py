@@ -103,7 +103,8 @@ def evaluate(
 
     Features are standardized with the model's stored statistics. The
     independent log-likelihood reuses the same means with the identity
-    correlation (closed-form probit factorization).
+    correlation (closed-form probit factorization). Raises
+    :class:`DimMismatch` for a dataset of another schema or with no rows.
     """
     if dataset.species_names != params.species_names:
         missing = set(params.species_names) - set(dataset.species_names)
@@ -113,9 +114,11 @@ def evaluate(
         )
     if dataset.feature_names != params.feature_names:
         raise DimMismatch("dataset features do not match the model")
+    if not len(dataset):
+        raise DimMismatch("evaluation needs at least one observation")
     std_data = apply_standardization(dataset, params.standardization)
-    presence = std_data.presence_matrix()
-    scores = predict_marginal(params, std_data.feature_matrix())
+    presence = std_data.presence
+    scores = predict_marginal(params, std_data.features)
 
     per_species = {}
     defined = []

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DimMismatch
 from .mlp import MlpGrads, MlpTape, mlp_backward
-from .model import ModelParams, Observation
+from .model import ModelParams
 from .mvn import MvnProblem, Rectangle, SamplerConfig, clip_rectangle, sample_truncated
 
 __all__ = [
@@ -161,16 +161,17 @@ def lambda_grad_from_sigma(lambda_raw: np.ndarray, d_sigma: np.ndarray) -> np.nd
 
 def assemble_bundle(
     params: ModelParams,
-    obs: Observation,
+    l: np.ndarray,
     musig: MuSigmaGrad,
     tape: MlpTape | None,
     h: np.ndarray,
 ) -> GradientBundle:
     """Chain-rule assembly of the parameter gradients, averaged over a minibatch.
 
-    ``obs`` holds one observation or a minibatch stacked along a leading
-    axis. ``tape`` and ``h`` must come from the same
-    :func:`dmse.model.mu_forward` call whose outputs produced ``musig``.
+    ``l`` holds the standardized features of one observation ``(m,)`` or
+    of a minibatch ``(B, m)``. ``l``, ``tape`` and ``h`` must be the input
+    and outputs of the :func:`dmse.model.mu_forward` call whose means
+    produced ``musig``.
     The covariance map is linear, so the interaction-embedding gradient is
     taken once, of the minibatch-mean ``d_sigma``.
     """
@@ -182,7 +183,7 @@ def assemble_bundle(
     h = h.reshape(rows, -1)
     d_s = h.T @ d_mu / rows
     d_h = d_mu @ params.S.T
-    extractor_out = obs.l if tape is None else tape.output
+    extractor_out = np.asarray(l, dtype=float) if tape is None else tape.output
     d_w = d_h.T @ extractor_out.reshape(rows, -1) / rows
     if params.mlp is None:
         d_mlp = None

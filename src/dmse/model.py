@@ -40,9 +40,7 @@ from .seeding import derive_seed
 log = logging.getLogger(__name__)
 
 __all__ = [
-    "Observation",
     "FeatureStandardization",
-    "CorrelationMatrix",
     "ModelParams",
     "init_model_params",
     "sigma_from_lambda",
@@ -58,21 +56,6 @@ MIN_COLUMN_NORM = 1e-10
 
 #: Off-diagonal correlations are clamped to at most 1 - this margin.
 CORR_CLAMP = 1e-12
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One checklist: presence bits ``b`` plus environmental features ``l``."""
-
-    b: np.ndarray
-    l: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.b)
-        if not np.all((b == 0) | (b == 1)):
-            raise ValueError("presence entries must be 0 or 1")
-        object.__setattr__(self, "b", b.astype(np.int8))
-        object.__setattr__(self, "l", np.asarray(self.l, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -94,17 +77,6 @@ class FeatureStandardization:
 
     def apply(self, l: np.ndarray) -> np.ndarray:
         return (np.asarray(l, dtype=float) - self.mean) / self.std
-
-
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Unit-diagonal, symmetric PSD matrix of latent correlations."""
-
-    sigma: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.sigma.shape[0]
 
 
 @dataclass
@@ -218,8 +190,8 @@ def _reperturb_zero_columns(lam: np.ndarray) -> None:
         lam[j % lam.shape[0], j] = 1e-6
 
 
-def sigma_from_lambda(lambda_raw: np.ndarray) -> CorrelationMatrix:
-    """Correlation matrix from raw interaction embeddings.
+def sigma_from_lambda(lambda_raw: np.ndarray) -> np.ndarray:
+    """Correlation matrix ``(n, n)`` from raw interaction embeddings ``(d2, n)``.
 
     Columns are L2-normalized before the Gram product, so the diagonal is
     exactly 1 and the result is invariant to rescaling any raw column by a
@@ -236,7 +208,7 @@ def sigma_from_lambda(lambda_raw: np.ndarray) -> CorrelationMatrix:
     sigma = 0.5 * (sigma + sigma.T)
     np.clip(sigma, -(1.0 - CORR_CLAMP), 1.0 - CORR_CLAMP, out=sigma)
     np.fill_diagonal(sigma, 1.0)
-    return CorrelationMatrix(sigma)
+    return sigma
 
 
 def mu_forward(
@@ -295,8 +267,7 @@ def joint_probability(
         raise DimMismatch(f"pattern length {b.shape} != species count {params.n_species}")
     mu, _, _ = mu_forward(params, l)
     if problem is None:
-        sigma = sigma_from_lambda(params.Lambda_raw).sigma
-        problem = MvnProblem(mu, sigma)
+        problem = MvnProblem(mu, sigma_from_lambda(params.Lambda_raw))
     else:
         problem = problem.with_mean(mu)
     return cdf_rectangle(problem, Rectangle.from_presence(b), tol, max_samples, seed)
@@ -304,18 +275,19 @@ def joint_probability(
 
 def log_likelihood_obs(
     params: ModelParams,
-    obs: Observation,
+    b: np.ndarray,
+    l: np.ndarray,
     tol: float = DEFAULT_CDF_TOL,
     seed: int = 0,
     max_samples: int = DEFAULT_MAX_SAMPLES,
     problem: MvnProblem | None = None,
 ) -> float:
-    """Log joint probability of one observation's pattern.
+    """Log joint probability of the presence pattern ``b`` at standardized ``l``.
 
     The result is the log of a probability, hence in ``(-inf, 0]``; the
     value is floored at the smallest positive normal to keep it finite.
     """
-    est = joint_probability(params, obs.b, obs.l, tol, max_samples, seed, problem)
+    est = joint_probability(params, b, l, tol, max_samples, seed, problem)
     if not est.tolerance_reached:
         log.warning(
             "joint probability tolerance %g not reached (error %.2e after %d samples)",
@@ -332,28 +304,25 @@ def log_likelihood_dataset(
     max_samples: int = DEFAULT_MAX_SAMPLES,
     sigma: np.ndarray | None = None,
 ) -> float:
-    """Sum of per-observation log-likelihoods over standardized observations.
+    """Sum of the log-likelihoods of a dataset's rows.
 
-    ``dataset`` is a Dataset or any iterable of observations. The
-    per-observation integration seed is ``seed XOR index`` so the total is
-    deterministic and independent of iteration order; a failed tolerance on
-    one observation never aborts the rest. ``sigma`` overrides the model's
-    correlation matrix (used for the independent baseline).
+    ``dataset`` is a :class:`dmse.dataio.Dataset` whose features are
+    already standardized; row ``i`` is integrated with seed ``seed XOR i``,
+    so the total is deterministic, and a failed tolerance on one row never
+    aborts the rest. ``sigma`` overrides the model's correlation matrix;
+    the identity (the independent baseline) is summed in closed form.
     """
-    observations = list(getattr(dataset, "observations", dataset))
-    if not observations:
+    presence, features = dataset.presence, dataset.features
+    if not len(presence):
         return 0.0
     if sigma is None:
-        sigma = sigma_from_lambda(params.Lambda_raw).sigma
+        sigma = sigma_from_lambda(params.Lambda_raw)
     if np.array_equal(sigma, np.eye(params.n_species)):
         # Independent probit marginals: exact, no integration.
-        mu, _, _ = mu_forward(params, np.array([obs.l for obs in observations]))
-        signs = 2.0 * np.array([obs.b for obs in observations]) - 1.0
-        return float(np.sum(log_ndtr(signs * mu)))
+        mu, _, _ = mu_forward(params, features)
+        return float(np.sum(log_ndtr((2.0 * presence - 1.0) * mu)))
     shared = MvnProblem(np.zeros(params.n_species), sigma)
     total = 0.0
-    for i, obs in enumerate(observations):
-        total += log_likelihood_obs(
-            params, obs, tol, seed ^ i, max_samples, problem=shared
-        )
+    for i, (b, l) in enumerate(zip(presence, features)):
+        total += log_likelihood_obs(params, b, l, tol, seed ^ i, max_samples, problem=shared)
     return total

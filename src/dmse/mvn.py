@@ -21,8 +21,9 @@ are immutable, and the Cholesky factor is computed at construction time
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -68,6 +69,14 @@ CHAINS = 32
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
+
+
+def _checked_mean(mean, n: int) -> np.ndarray:
+    """``mean`` as a float ``(n,)`` or ``(B, n)`` array, else DimMismatch."""
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    if mean.ndim > 2 or mean.shape[-1] != n:
+        raise DimMismatch(f"mean of shape {mean.shape} is neither ({n},) nor (B, {n})")
+    return mean
 
 
 @dataclass(frozen=True)
@@ -122,48 +131,44 @@ class MvnProblem:
     """A normal distribution ``N(mean, cov)`` with cached factorization.
 
     The Cholesky factor and precision matrix are computed at construction
-    (one jitter retry, see :func:`cholesky`). Problems sharing one
-    covariance reuse the factorization through :meth:`with_mean`. A mean of
-    shape ``(B, n)`` makes a batch of ``B`` problems with one covariance.
+    (one jitter retry, see :func:`cholesky`) and cannot be passed in.
+    Problems sharing one covariance reuse the factorization through
+    :meth:`with_mean`. A mean of shape ``(B, n)`` makes a batch of ``B``
+    problems with one covariance.
     """
 
     mean: np.ndarray
     cov: np.ndarray
-    chol: np.ndarray = None
-    precision: np.ndarray = None
-    jitter_applied: bool = False
+    chol: np.ndarray = field(init=False, repr=False)
+    precision: np.ndarray = field(init=False, repr=False)
+    jitter_applied: bool = field(init=False)
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         cov = np.asarray(self.cov, dtype=float)
-        if mean.ndim > 2:
-            raise DimMismatch(f"mean must be (n,) or (B, n), got shape {mean.shape}")
-        n = mean.shape[-1]
-        if n < 1:
-            raise DimMismatch("dimension must be >= 1")
-        if cov.shape != (n, n):
-            raise DimMismatch(f"cov shape {cov.shape} does not match mean dimension {n}")
+        n = cov.shape[0] if cov.ndim == 2 else 0
+        if cov.shape != (n, n) or n < 1:
+            raise DimMismatch(f"cov shape {cov.shape} is not a nonempty square matrix")
+        object.__setattr__(self, "mean", _checked_mean(self.mean, n))
         scale = max(1.0, float(np.abs(cov).max()))
         if np.abs(cov - cov.T).max() > 1e-12 * scale:
             raise ValueError("covariance must be symmetric within 1e-12 relative")
-        object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        if self.chol is None:
-            chol, jit = cholesky(cov)
-            object.__setattr__(self, "chol", chol)
-            object.__setattr__(self, "jitter_applied", jit)
-        if self.precision is None:
-            try:
-                inv_l = solve_triangular(self.chol, np.eye(n), lower=True)
-            except Exception as exc:  # pragma: no cover - scipy raises rarely here
-                raise SingularCovariance(str(exc)) from exc
-            if not np.all(np.isfinite(inv_l)):
-                raise SingularCovariance("covariance not invertible after jitter")
-            object.__setattr__(self, "precision", inv_l.T @ inv_l)
+        chol, jit = cholesky(cov)
+        try:
+            inv_l = solve_triangular(chol, np.eye(n), lower=True)
+        except Exception as exc:  # pragma: no cover - scipy raises rarely here
+            raise SingularCovariance(str(exc)) from exc
+        if not np.all(np.isfinite(inv_l)):
+            raise SingularCovariance("covariance not invertible after jitter")
+        object.__setattr__(self, "chol", chol)
+        object.__setattr__(self, "precision", inv_l.T @ inv_l)
+        object.__setattr__(self, "jitter_applied", jit)
 
     def with_mean(self, mean) -> "MvnProblem":
         """The same covariance and factorization around another mean."""
-        return replace(self, mean=mean)
+        out = copy.copy(self)
+        object.__setattr__(out, "mean", _checked_mean(mean, self.dim))
+        return out
 
     @property
     def dim(self) -> int:
@@ -207,14 +212,14 @@ class SamplerConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if self.thinning < 1:
-            raise ValueError("thinning must be >= 1")
-        if self.cutoff_k < 3:
-            raise ValueError("cutoff_k must be >= 3")
-        if self.burn_in_sweeps < 0:
-            raise ValueError("burn_in_sweeps must be >= 0")
+        for key, ok, need in (
+            ("n_samples", self.n_samples >= 1, ">= 1"),
+            ("burn_in_sweeps", self.burn_in_sweeps >= 0, ">= 0"),
+            ("thinning", self.thinning >= 1, ">= 1"),
+            ("cutoff_k", 3 <= self.cutoff_k < math.inf, "finite and >= 3"),
+        ):
+            if not ok:
+                raise ValueError(f"{key} must be {need}, got {getattr(self, key)!r}")
 
     @property
     def chains(self) -> int:

@@ -14,18 +14,18 @@ lattice pass per observation) together with its relative error.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataio import Dataset, standardize
+from .dataio import Dataset, apply_standardization, standardize
 from .errors import ConfigError, InvalidK, NonFiniteGradient
 from .gradients import GradientBundle, assemble_bundle, grad_mu_sigma
 from .mlp import DEFAULT_HIDDEN_DIMS, MlpGrads
 from .model import (
     ModelParams,
-    Observation,
     init_model_params,
     log_likelihood_dataset,
     mu_forward,
@@ -77,12 +77,20 @@ class TrainConfig:
     patience: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.adagrad_epsilon <= 0:
-            raise ValueError("learning_rate and adagrad_epsilon must be positive")
-        if self.minibatch_size < 1 or self.epochs < 0 or self.eval_every < 1:
-            raise ValueError("minibatch_size and eval_every must be positive, epochs >= 0")
-        if self.d1 < 1 or self.d2 < 1:
-            raise ValueError("embedding dims must be >= 1")
+        for key, ok, need in (
+            ("learning_rate", 0 < self.learning_rate < math.inf, "finite and > 0"),
+            ("adagrad_epsilon", 0 < self.adagrad_epsilon < math.inf, "finite and > 0"),
+            ("cdf_tol", 0 < self.cdf_tol < math.inf, "finite and > 0"),
+            ("minibatch_size", self.minibatch_size >= 1, ">= 1"),
+            ("epochs", self.epochs >= 0, ">= 0"),
+            ("eval_every", self.eval_every >= 1, ">= 1"),
+            ("d1", self.d1 >= 1, ">= 1"),
+            ("d2", self.d2 >= 1, ">= 1"),
+            ("patience", self.patience >= 0, ">= 0"),
+            ("hidden_dims", all(d >= 1 for d in self.hidden_dims or ()), "empty or all >= 1"),
+        ):
+            if not ok:
+                raise ValueError(f"{key} must be {need}, got {getattr(self, key)!r}")
 
 
 @dataclass
@@ -173,8 +181,7 @@ def _minibatch_bundle(params, presence, features, indices, cfg, sampler_seed, lo
     row ``i`` integrates its logged likelihood with ``loglik_seed ^ i``.
     Returns ``(bundle, mean_loglik, mean_loglik_rel_err, mean_grad_se)``.
     """
-    sigma = sigma_from_lambda(params.Lambda_raw).sigma
-    shared = MvnProblem(np.zeros(params.n_species), sigma)
+    shared = MvnProblem(np.zeros(params.n_species), sigma_from_lambda(params.Lambda_raw))
     bits, feats = presence[indices], features[indices]
     mu, tape, h = mu_forward(params, feats)
     musig = grad_mu_sigma(
@@ -182,7 +189,7 @@ def _minibatch_bundle(params, presence, features, indices, cfg, sampler_seed, lo
         Rectangle.from_presence(bits),
         replace(cfg.sampler, rng_seed=sampler_seed),
     )
-    bundle = assemble_bundle(params, Observation(bits, feats), musig, tape, h)
+    bundle = assemble_bundle(params, feats, musig, tape, h)
     stats = []
     for i, row_mu, row_bits in zip(indices, mu, bits):
         est = cdf_rectangle(
@@ -241,15 +248,12 @@ def train(
     tlog = TrainingLog()
     val_std = None
     if validation is not None:
-        from .dataio import apply_standardization
-
         val_std = apply_standardization(validation, stats)
 
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
     sampler_base = derive_seed(cfg.seed, "sampler")
     eval_seed = derive_seed(cfg.seed, "eval")
-    presence = std_data.presence_matrix()
-    features = std_data.feature_matrix()
+    presence, features = std_data.presence, std_data.features
     t0 = time.monotonic()
     step = 0
     best_val = -np.inf
@@ -310,16 +314,17 @@ def train(
     return params, tlog
 
 
-def kfold_split(dataset, k: int, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Seeded permutation split into ``k`` near-equal folds.
+def kfold_split(n_obs: int, k: int, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Seeded split of the row indices ``0 .. n_obs-1`` into ``k`` near-equal folds.
 
-    Fold ``i``'s validation indices are block ``i`` of the permutation;
-    every index appears in exactly one validation set.
+    Returns ``(train, validation)`` index pairs, each sorted. Fold ``i``'s
+    validation indices are block ``i`` of a seeded permutation, so every
+    index appears in exactly one validation set. Raises :class:`InvalidK`
+    unless ``2 <= k <= n_obs``.
     """
-    n = len(dataset) if not isinstance(dataset, int) else dataset
-    if k < 2 or k > n:
-        raise InvalidK(f"k must be in [2, {n}], got {k}")
-    perm = np.random.default_rng(seed).permutation(n)
+    if k < 2 or k > n_obs:
+        raise InvalidK(f"k must be in [2, {n_obs}], got {k}")
+    perm = np.random.default_rng(seed).permutation(n_obs)
     blocks = np.array_split(perm, k)
     splits = []
     for i in range(k):

@@ -27,7 +27,6 @@ from dmse.mlp import mlp_backward, mlp_forward, mlp_init
 from dmse.model import (
     FeatureStandardization,
     ModelParams,
-    Observation,
     log_likelihood_obs,
     mu_forward,
     sigma_from_lambda,
@@ -197,14 +196,14 @@ def test_03_end_to_end_parameter_gradients():
         standardization=FeatureStandardization.identity(3),
     )
     params.validate()
-    obs = Observation([1, 0], [0.4, -0.2, 0.8])
+    b, l = np.array([1, 0]), np.array([0.4, -0.2, 0.8])
     h, tol = 1e-3, 1e-7
     allowance = fd_allowance(h, tol)
 
-    mu, tape, hvec = mu_forward(params, obs.l)
-    sigma = sigma_from_lambda(params.Lambda_raw).sigma
+    mu, tape, hvec = mu_forward(params, l)
+    sigma = sigma_from_lambda(params.Lambda_raw)
     problem = MvnProblem(mu, sigma)
-    rect = Rectangle.from_presence(obs.b)
+    rect = Rectangle.from_presence(b)
 
     def flatten(bundle):
         parts = [bundle.d_S.ravel(), bundle.d_Lambda_raw.ravel(), bundle.d_W.ravel()]
@@ -217,7 +216,7 @@ def test_03_end_to_end_parameter_gradients():
         cfg = SamplerConfig(n_samples=10_000, burn_in_sweeps=40, thinning=1,
                             rng_seed=4000 + r)
         musig = grad_mu_sigma(problem, rect, cfg)
-        reps.append(flatten(assemble_bundle(params, obs, musig, tape, hvec)))
+        reps.append(flatten(assemble_bundle(params, l, musig, tape, hvec)))
     flat = np.array(reps)
     est = flat.mean(axis=0)
     se = flat.std(axis=0, ddof=1) / math.sqrt(len(reps))
@@ -231,9 +230,9 @@ def test_03_end_to_end_parameter_gradients():
         for i in range(view.shape[0]):
             orig = view[i]
             view[i] = orig + h
-            up = log_likelihood_obs(params, obs, tol=tol, seed=6000 + eval_idx)
+            up = log_likelihood_obs(params, b, l, tol=tol, seed=6000 + eval_idx)
             view[i] = orig - h
-            dn = log_likelihood_obs(params, obs, tol=tol, seed=7000 + eval_idx)
+            dn = log_likelihood_obs(params, b, l, tol=tol, seed=7000 + eval_idx)
             view[i] = orig
             fd.append((up - dn) / (2 * h))
             eval_idx += 1
@@ -352,7 +351,7 @@ def trained_by_rho():
 def test_06_correlation_recovery(trained_by_rho):
     devs = {}
     for rho, (params, _) in trained_by_rho.items():
-        learned = sigma_from_lambda(params.Lambda_raw).sigma[0, 1]
+        learned = sigma_from_lambda(params.Lambda_raw)[0, 1]
         devs[rho] = abs(learned - rho)
     ok = all(d <= 0.15 for d in devs.values())
     report(
@@ -367,18 +366,15 @@ def test_07_joint_beats_independent_on_heldout(trained_by_rho):
     params, truth = trained_by_rho[0.7]
     heldout = synth_from_truth(truth, 2000, seed=9090)
     std = apply_standardization(heldout, params.standardization)
-    sigma = sigma_from_lambda(params.Lambda_raw).sigma
-    from dmse.mvn import cholesky
-
-    chol, jit = cholesky(sigma)
-    shared = MvnProblem(np.zeros(2), sigma, chol=chol, jitter_applied=jit)
+    sigma = sigma_from_lambda(params.Lambda_raw)
+    shared = MvnProblem(np.zeros(2), sigma)
     diffs = np.empty(len(std))
     from scipy.special import log_ndtr
 
-    for i, obs in enumerate(std.observations):
-        joint = log_likelihood_obs(params, obs, tol=1e-4, seed=i, problem=shared)
-        mu, _, _ = mu_forward(params, obs.l)
-        indep = float(np.sum(log_ndtr((2.0 * obs.b - 1.0) * mu)))
+    for i, (b, l) in enumerate(zip(std.presence, std.features)):
+        joint = log_likelihood_obs(params, b, l, tol=1e-4, seed=i, problem=shared)
+        mu, _, _ = mu_forward(params, l)
+        indep = float(np.sum(log_ndtr((2.0 * b - 1.0) * mu)))
         diffs[i] = joint - indep
     mean_gap = float(diffs.mean())
     test = scipy_stats.ttest_1samp(diffs, 0.0, alternative="greater")

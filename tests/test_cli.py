@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,15 @@ class TestConfigParsing:
     def test_invalid_value_rejected(self):
         with pytest.raises(ConfigError):
             build_train_config({"epochs": "three"})
+        for key, value, shown in [
+            ("cutoff_k", "nan", "nan"), ("learning_rate", "nan", "nan"),
+            ("learning_rate", "inf", "inf"), ("cdf_tol", "-1", "-1.0"),
+            ("cdf_tol", "nan", "nan"), ("adagrad_epsilon", "inf", "inf"),
+            ("patience", "-3", "-3"), ("hidden_dims", "0", "(0,)"),
+            ("hidden_dims", "8,0", "(8, 0)"),
+        ]:
+            with pytest.raises(ConfigError, match=rf"^{key} must be .*, got {re.escape(shown)}$"):
+                build_train_config({key: value})
 
 
 class TestExitCodes:
@@ -173,6 +183,29 @@ class TestExitCodes:
                      "--out", str(tmp_path / "m.dmse")])
         assert code == 3
         assert capsys.readouterr().err.startswith("error: DimMismatch:")
+
+    @pytest.mark.parametrize("argv, named", [
+        (["train", "--patience", "-3"], "--patience: patience must be >= 0, got -3"),
+        (["train", "--set", "cutoff_k=nan"], "cutoff_k must be finite and >= 3, got nan"),
+        (["eval", "--tol", "-1"], "--tol must be finite and > 0, got -1.0"),
+        (["eval", "--tol", "nan"], "--tol must be finite and > 0, got nan"),
+        (["predict", "--tol", "0"], "--tol must be finite and > 0, got 0.0"),
+        (["cv", "--k", "5"], "--k must be in [2, n_obs=2], got 5"),
+        (["cv", "--k", "1"], "--k must be in [2, n_obs=2], got 1"),
+    ], ids=["train-patience", "train-cutoff_k", "eval-tol-negative", "eval-tol-nan",
+            "predict-tol-zero", "cv-k-above-rows", "cv-k-1"])
+    def test_rejected_argument_is_2(self, tmp_path, capsys, argv, named):
+        data = write(tmp_path, "d.csv", "sp:a,env:x\n1,0.0\n0,1.0\n")
+        cfg = write(tmp_path, "t.cfg", FAST_TRAIN)
+        model = str(tmp_path / "m.dmse")
+        rest = {
+            "train": ["--data", data, "--config", cfg, "--out", model],
+            "eval": ["--data", data, "--model", model],
+            "predict": ["--features-csv", data, "--model", model, "--out", model + ".csv"],
+            "cv": ["--data", data, "--config", cfg, "--out-dir", str(tmp_path / "cv")],
+        }[argv[0]]
+        assert main(argv + rest) == 2
+        assert capsys.readouterr().err == f"error: ConfigError: {named}\n"
 
     def test_eval_dim_mismatch_is_3_and_names_species(self, workspace, capsys, tmp_path):
         ws, data, cfg, model = workspace
@@ -348,7 +381,7 @@ class TestExportCommand:
         params = load_checkpoint(model)
         assert names == params.species_names
         np.testing.assert_allclose(
-            sigma, sigma_from_lambda(params.Lambda_raw).sigma, atol=1e-6
+            sigma, sigma_from_lambda(params.Lambda_raw), atol=1e-6
         )
         # Embedding exports carry one row per species.
         habitat = (out / "habitat_embeddings.tsv").read_text().splitlines()

@@ -23,7 +23,7 @@ from dmse.errors import (
     NonBinaryPresence,
     NonFiniteFeature,
 )
-from dmse.model import MvnProblem, Observation
+from dmse.model import MvnProblem
 from dmse.mvn import Rectangle, cdf_rectangle
 from oracles import all_patterns, bvn_orthant
 
@@ -41,8 +41,13 @@ class TestLoadCsv:
         assert len(ds) == 2
         assert ds.species_names == ["a"]
         assert ds.feature_names == ["x"]
-        np.testing.assert_array_equal(ds.presence_matrix(), [[1], [0]])
-        np.testing.assert_allclose(ds.feature_matrix(), [[0.5], [-1.25]])
+        np.testing.assert_array_equal(ds.presence, [[1], [0]])
+        np.testing.assert_allclose(ds.features, [[0.5], [-1.25]])
+
+    def test_header_only_keeps_column_shapes(self, tmp_path):
+        ds = load_csv(write(tmp_path, "sp:a,sp:b,env:x\n"))
+        assert len(ds) == 0
+        assert ds.presence.shape == (0, 2) and ds.features.shape == (0, 1)
 
     def test_column_order_preserved(self, tmp_path):
         path = write(tmp_path, "sp:b,env:y,sp:a,env:x\n1,2.0,0,1.0\n")
@@ -83,19 +88,16 @@ class TestLoadCsv:
 
     def test_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(5)
-        obs = [
-            Observation(
-                rng.integers(0, 2, 3),
-                rng.normal(size=2) * 10.0 ** rng.integers(-8, 8),
-            )
+        rows = [
+            (rng.integers(0, 2, 3), rng.normal(size=2) * 10.0 ** rng.integers(-8, 8))
             for _ in range(20)
         ]
-        ds = Dataset(obs, ["a", "b", "c"], ["x", "y"])
+        ds = Dataset([b for b, _ in rows], [l for _, l in rows], ["a", "b", "c"], ["x", "y"])
         path = tmp_path / "rt.csv"
         save_csv(ds, path)
         back = load_csv(path)
-        np.testing.assert_array_equal(back.presence_matrix(), ds.presence_matrix())
-        np.testing.assert_array_equal(back.feature_matrix(), ds.feature_matrix())
+        np.testing.assert_array_equal(back.presence, ds.presence)
+        np.testing.assert_array_equal(back.features, ds.features)
         assert back.species_names == ds.species_names
         assert back.feature_names == ds.feature_names
 
@@ -106,44 +108,59 @@ class TestLoadCsv:
         np.testing.assert_allclose(feats, [[0.5, 1.5], [2.5, 3.5]])
 
 
+class TestDataset:
+    @pytest.mark.parametrize("presence, features, names, error", [
+        ([[2]], [[0.0]], ["a"], ValueError),  # presence not 0/1
+        ([[1], [0]], [[0.0]], ["a"], DimMismatch),  # row counts differ
+        ([1, 0], [[0.0], [1.0]], ["a"], DimMismatch),  # presence not 2-D
+        ([[1, 0]], [[0.0]], ["a"], DimMismatch),  # presence columns != species names
+        ([[1]], [[0.0, 1.0]], ["a"], DimMismatch),  # feature columns != feature names
+        ([[1, 0]], [[0.0]], ["a", "a"], MalformedHeader),  # duplicate species names
+    ], ids=["non-binary", "row-counts", "presence-1d", "species-columns",
+            "feature-columns", "duplicate-names"])
+    def test_inconsistent_arrays_rejected(self, presence, features, names, error):
+        with pytest.raises(error):
+            Dataset(presence, features, names, ["x"])
+
+    def test_subset_indexes_both_arrays(self):
+        ds = Dataset([[1, 0], [0, 1], [1, 1]], [[0.0], [1.0], [2.0]], ["a", "b"], ["x"])
+        sub = ds.subset([2, 0])
+        assert sub.presence.dtype == np.int8
+        np.testing.assert_array_equal(sub.presence, [[1, 1], [1, 0]])
+        np.testing.assert_array_equal(sub.features, [[2.0], [0.0]])
+        assert len(ds.subset([])) == 0 and ds.subset([]).presence.shape == (0, 2)
+
+
 class TestStandardize:
     def test_population_convention(self):
-        ds = Dataset(
-            [Observation([1], [0.0]), Observation([0], [10.0])], ["a"], ["x"]
-        )
+        ds = Dataset([[1], [0]], [[0.0], [10.0]], ["a"], ["x"])
         out, stats = standardize(ds)
         np.testing.assert_allclose(stats.mean, [5.0])
         np.testing.assert_allclose(stats.std, [5.0])
-        np.testing.assert_allclose(out.feature_matrix(), [[-1.0], [1.0]])
+        np.testing.assert_allclose(out.features, [[-1.0], [1.0]])
         assert not stats.constant[0]
 
     def test_constant_feature_flagged_and_centered(self):
-        ds = Dataset(
-            [Observation([1], [3.0]), Observation([0], [3.0])], ["a"], ["x"]
-        )
+        ds = Dataset([[1], [0]], [[3.0], [3.0]], ["a"], ["x"])
         out, stats = standardize(ds)
         assert stats.constant[0]
         np.testing.assert_array_equal(stats.std, [1.0])
-        np.testing.assert_array_equal(out.feature_matrix(), [[0.0], [0.0]])
+        np.testing.assert_array_equal(out.features, [[0.0], [0.0]])
 
     def test_idempotent_on_zscores(self):
         rng = np.random.default_rng(7)
         feats = rng.normal(size=40)
         feats = (feats - feats.mean()) / feats.std()
-        ds = Dataset(
-            [Observation([1], [v]) for v in feats], ["a"], ["x"]
-        )
+        ds = Dataset(np.ones((len(feats), 1)), feats[:, None], ["a"], ["x"])
         out, stats = standardize(ds)
-        np.testing.assert_allclose(out.feature_matrix().ravel(), feats, atol=1e-12)
+        np.testing.assert_allclose(out.features.ravel(), feats, atol=1e-12)
 
 
 class TestFilterTopSpecies:
     def make(self):
         # Presence counts: a=5, b=3, c=1.
-        obs = []
-        for i in range(5):
-            obs.append(Observation([1, 1 if i < 3 else 0, 1 if i < 1 else 0], [0.0]))
-        return Dataset(obs, ["a", "b", "c"], ["x"])
+        presence = [[1, 1 if i < 3 else 0, 1 if i < 1 else 0] for i in range(5)]
+        return Dataset(presence, np.zeros((5, 1)), ["a", "b", "c"], ["x"])
 
     def test_identity_when_k_equals_n(self):
         ds = self.make()
@@ -157,8 +174,7 @@ class TestFilterTopSpecies:
         np.testing.assert_allclose(coverage, 8.0 / 9.0)
 
     def test_tie_broken_by_name(self):
-        obs = [Observation([1, 0, 1], [0.0]), Observation([0, 1, 1], [0.0])]
-        ds = Dataset(obs, ["zeta", "alpha", "mid"], ["x"])
+        ds = Dataset([[1, 0, 1], [0, 1, 1]], [[0.0], [0.0]], ["zeta", "alpha", "mid"], ["x"])
         out, _ = filter_top_species(ds, 2)
         # mid has count 2; alpha and zeta tie at 1 -> alpha wins by name.
         assert sorted(out.species_names) == ["alpha", "mid"]
@@ -173,7 +189,7 @@ class TestSynthGenerate:
     def test_fair_coin_rates(self):
         spec = SynthSpec(n_species=3, m_features=2, n_obs=20_000, mu_scale=1e-9, seed=1)
         ds, _ = synth_generate(spec)
-        rates = ds.presence_matrix().mean(axis=0)
+        rates = ds.presence.mean(axis=0)
         np.testing.assert_allclose(rates, 0.5, atol=3.0 / math.sqrt(len(ds)))
 
     def test_correlated_cooccurrence_matches_orthant_formula(self):
@@ -184,7 +200,7 @@ class TestSynthGenerate:
             mu_scale=1e-9, seed=2,
         )
         ds, _ = synth_generate(spec)
-        both = np.mean(np.all(ds.presence_matrix() == 1, axis=1))
+        both = np.mean(np.all(ds.presence == 1, axis=1))
         p = bvn_orthant(rho)
         np.testing.assert_allclose(both, p, atol=3 * math.sqrt(p * (1 - p) / len(ds)))
 
@@ -192,8 +208,8 @@ class TestSynthGenerate:
         spec = SynthSpec(n_species=2, m_features=3, n_obs=50, mu_map="mlp-random", seed=9)
         a, _ = synth_generate(spec)
         b, _ = synth_generate(spec)
-        np.testing.assert_array_equal(a.presence_matrix(), b.presence_matrix())
-        np.testing.assert_array_equal(a.feature_matrix(), b.feature_matrix())
+        np.testing.assert_array_equal(a.presence, b.presence)
+        np.testing.assert_array_equal(a.features, b.features)
 
     def test_calibrated_signal_scale(self):
         rng = np.random.default_rng(3)
@@ -232,7 +248,7 @@ class TestSynthGenerate:
             mu_scale=1e-9, seed=7,
         )
         ds, _ = synth_generate(spec)
-        bits = ds.presence_matrix()
+        bits = ds.presence
         problem = MvnProblem(np.zeros(n), sigma)
         for k, pattern in enumerate(all_patterns(n)):
             expected = cdf_rectangle(

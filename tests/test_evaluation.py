@@ -6,7 +6,7 @@ import pytest
 from dmse.dataio import Dataset
 from dmse.errors import DegenerateLabels, DimMismatch
 from dmse.evaluation import auc, evaluate
-from dmse.model import FeatureStandardization, ModelParams, Observation
+from dmse.model import FeatureStandardization, ModelParams
 
 
 def truth_model(coef, sigma, d2_pad=0):
@@ -36,7 +36,8 @@ def generate(coef, sigma, n_obs, seed):
     latent = mu + rng.standard_normal((n_obs, n)) @ np.linalg.cholesky(sigma).T
     bits = (latent > 0).astype(np.int8)
     return Dataset(
-        [Observation(bits[i], feats[i]) for i in range(n_obs)],
+        bits,
+        feats,
         [f"s{j}" for j in range(n)],
         [f"f{j}" for j in range(m)],
     )
@@ -117,7 +118,8 @@ class TestEvaluate:
         data = generate(coef, np.eye(2), 50, seed=14)
         # Force species s1 to be always absent.
         forced = Dataset(
-            [Observation(np.array([o.b[0], 0]), o.l) for o in data.observations],
+            np.column_stack([data.presence[:, 0], np.zeros(len(data), dtype=np.int8)]),
+            data.features,
             data.species_names,
             data.feature_names,
         )
@@ -134,12 +136,19 @@ class TestEvaluate:
         with_identity = evaluate(truth_model(coef, np.eye(2)), data, cdf_tol=1e-4, seed=18)
         assert with_truth.per_species_auc == with_identity.per_species_auc
 
+    def test_empty_dataset_rejected(self):
+        params = truth_model(np.ones((2, 2)), np.eye(2))
+        empty = Dataset(np.zeros((0, 2)), np.zeros((0, 2)), params.species_names,
+                        params.feature_names)
+        with pytest.raises(DimMismatch):
+            evaluate(params, empty)
+
     def test_schema_mismatch_names_missing_species(self):
         rng = np.random.default_rng(19)
         coef = rng.normal(size=(2, 2))
         params = truth_model(coef, np.eye(2))
         data = generate(coef, np.eye(2), 20, seed=20)
-        renamed = Dataset(data.observations, ["s0", "other"], data.feature_names)
+        renamed = Dataset(data.presence, data.features, ["s0", "other"], data.feature_names)
         with pytest.raises(DimMismatch) as err:
             evaluate(params, renamed, cdf_tol=1e-4, seed=21)
         assert "s1" in str(err.value)

@@ -23,7 +23,6 @@ from dmse.gradients import (
 from dmse.model import (
     FeatureStandardization,
     ModelParams,
-    Observation,
     log_likelihood_obs,
     mu_forward,
     sigma_from_lambda,
@@ -270,7 +269,7 @@ class TestLambdaBackprop:
         np.fill_diagonal(probe, 0.0)  # diagonal direction is infeasible
 
         def objective(raw):
-            return float(np.sum(probe * sigma_from_lambda(raw).sigma))
+            return float(np.sum(probe * sigma_from_lambda(raw)))
 
         grad = lambda_grad_from_sigma(lam, probe)
         h = 1e-6
@@ -315,10 +314,10 @@ class TestAssembleBundle:
         from dmse.gradients import MuSigmaGrad
 
         params = tiny_model()
-        obs = Observation([1, 0], [0.2, -0.5])
-        _, tape, h = mu_forward(params, obs.l)
+        l = np.array([0.2, -0.5])
+        _, tape, h = mu_forward(params, l)
         musig = MuSigmaGrad(np.zeros(2), np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2)))
-        bundle = assemble_bundle(params, obs, musig, tape, h)
+        bundle = assemble_bundle(params, l, musig, tape, h)
         np.testing.assert_array_equal(bundle.d_S, 0.0)
         np.testing.assert_array_equal(bundle.d_Lambda_raw, 0.0)
         np.testing.assert_array_equal(bundle.d_W, 0.0)
@@ -330,17 +329,17 @@ class TestAssembleBundle:
 
         params = tiny_model(seed=4)
         rng = np.random.default_rng(40)
-        rows = [Observation(rng.integers(0, 2, 2), rng.normal(size=2)) for _ in range(5)]
+        rows = [(rng.integers(0, 2, 2), rng.normal(size=2)) for _ in range(5)]
         d_mu = rng.normal(size=(5, 2))
         d_sigma = rng.normal(size=(5, 2, 2))
         d_sigma = d_sigma + np.swapaxes(d_sigma, 1, 2)
         singles = []
-        for i, obs in enumerate(rows):
-            _, tape, h = mu_forward(params, obs.l)
+        for i, (_, l) in enumerate(rows):
+            _, tape, h = mu_forward(params, l)
             musig = MuSigmaGrad(d_mu[i], d_sigma[i], np.zeros(2), np.zeros((2, 2)))
-            singles.append(assemble_bundle(params, obs, musig, tape, h))
-        stacked = Observation([o.b for o in rows], [o.l for o in rows])
-        _, tape, h = mu_forward(params, stacked.l)
+            singles.append(assemble_bundle(params, l, musig, tape, h))
+        stacked = np.array([l for _, l in rows])
+        _, tape, h = mu_forward(params, stacked)
         musig = MuSigmaGrad(d_mu, d_sigma, np.zeros((5, 2)), np.zeros((5, 2, 2)))
         batch = assemble_bundle(params, stacked, musig, tape, h)
         assert batch.n_obs == 5
@@ -353,33 +352,33 @@ class TestAssembleBundle:
 
     def test_raw_column_scale_does_not_change_loglik(self):
         params = tiny_model(seed=5)
-        obs = Observation([1, 1], [0.3, 0.1])
-        base = log_likelihood_obs(params, obs, tol=1e-7, seed=1)
+        b, l = [1, 1], [0.3, 0.1]
+        base = log_likelihood_obs(params, b, l, tol=1e-7, seed=1)
         params.Lambda_raw[:, 0] *= 4.0  # power of two: exact normalization
-        rescaled = log_likelihood_obs(params, obs, tol=1e-7, seed=1)
+        rescaled = log_likelihood_obs(params, b, l, tol=1e-7, seed=1)
         assert base == rescaled
 
     def test_end_to_end_matches_finite_differences(self):
         """Every parameter gradient of the log-likelihood against central
         FD of the integrated probability, on a tiny model."""
         params = tiny_model(seed=8)
-        obs = Observation([1, 0], [0.4, -0.7])
+        b, l = np.array([1, 0]), np.array([0.4, -0.7])
         fd_tol, fd_h = 1e-8, 1e-3
 
         def loglik():
-            return log_likelihood_obs(params, obs, tol=fd_tol, seed=77)
+            return log_likelihood_obs(params, b, l, tol=fd_tol, seed=77)
 
         # Replicated bundles give the estimate and an honest empirical SE.
-        mu, tape, h = mu_forward(params, obs.l)
-        sigma = sigma_from_lambda(params.Lambda_raw).sigma
+        mu, tape, h = mu_forward(params, l)
+        sigma = sigma_from_lambda(params.Lambda_raw)
         problem = MvnProblem(mu, sigma)
-        rect = Rectangle.from_presence(obs.b)
+        rect = Rectangle.from_presence(b)
         reps = []
         for r in range(12):
             cfg = SamplerConfig(n_samples=8000, burn_in_sweeps=30, thinning=1,
                                 rng_seed=900 + r)
             musig = grad_mu_sigma(problem, rect, cfg)
-            reps.append(assemble_bundle(params, obs, musig, tape, h))
+            reps.append(assemble_bundle(params, l, musig, tape, h))
 
         def flatten(bundle):
             parts = [bundle.d_S.ravel(), bundle.d_Lambda_raw.ravel(), bundle.d_W.ravel()]

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from scipy.special import log_ndtr, ndtr
 
+from dmse.dataio import Dataset
 from dmse.errors import DimMismatch, ZeroColumn
 from dmse.model import (
     FeatureStandardization,
     ModelParams,
-    Observation,
     init_model_params,
     log_likelihood_dataset,
     log_likelihood_obs,
@@ -48,33 +48,33 @@ def lambda_for_sigma(sigma, d2=None):
 class TestSigmaFromLambda:
     def test_equal_columns_give_all_ones(self):
         lam = np.tile(np.array([[0.3], [0.4]]), (1, 3))
-        sigma = sigma_from_lambda(lam).sigma
+        sigma = sigma_from_lambda(lam)
         np.testing.assert_allclose(sigma, 1.0 - 1e-12, atol=2e-12)
         np.testing.assert_array_equal(np.diag(sigma), 1.0)
 
     def test_orthogonal_columns_give_identity(self):
-        sigma = sigma_from_lambda(np.eye(3) * 2.5).sigma
+        sigma = sigma_from_lambda(np.eye(3) * 2.5)
         np.testing.assert_array_equal(sigma, np.eye(3))
 
     def test_known_pair(self):
         lam = np.array([[1.0, 1.0], [0.0, 1.0]])
-        sigma = sigma_from_lambda(lam).sigma
+        sigma = sigma_from_lambda(lam)
         np.testing.assert_allclose(sigma[0, 1], 1.0 / math.sqrt(2.0), rtol=1e-12)
 
     def test_rescaling_invariance(self):
         rng = np.random.default_rng(4)
         lam = rng.normal(size=(5, 4))
         # Power-of-two scalings divide out exactly in IEEE arithmetic.
-        a = sigma_from_lambda(lam).sigma
-        b = sigma_from_lambda(lam * np.array([1.0, 2.0, 0.25, 1024.0])).sigma
+        a = sigma_from_lambda(lam)
+        b = sigma_from_lambda(lam * np.array([1.0, 2.0, 0.25, 1024.0]))
         np.testing.assert_array_equal(a, b)
         # General positive scalings agree to rounding.
-        c = sigma_from_lambda(lam * np.array([1.0, 7.5, 0.01, 3e4])).sigma
+        c = sigma_from_lambda(lam * np.array([1.0, 7.5, 0.01, 3e4]))
         np.testing.assert_allclose(a, c, atol=1e-14)
 
     def test_unit_diagonal_and_symmetry(self):
         rng = np.random.default_rng(5)
-        sigma = sigma_from_lambda(rng.normal(size=(6, 5))).sigma
+        sigma = sigma_from_lambda(rng.normal(size=(6, 5)))
         np.testing.assert_array_equal(np.diag(sigma), 1.0)
         np.testing.assert_array_equal(sigma, sigma.T)
         assert np.abs(sigma).max() <= 1.0
@@ -88,7 +88,7 @@ class TestSigmaFromLambda:
         rng = np.random.default_rng(6)
         target = random_correlation(rng, 4)
         lam = lambda_for_sigma(target)
-        np.testing.assert_allclose(sigma_from_lambda(lam).sigma, target, atol=1e-9)
+        np.testing.assert_allclose(sigma_from_lambda(lam), target, atol=1e-9)
 
 
 class TestMuForward:
@@ -159,8 +159,7 @@ class TestPredictMarginal:
 class TestLogLikelihoodObs:
     def test_independent_fair_coins(self):
         params = direct_params(2, np.eye(2))
-        obs = Observation([1, 1], [0.0, 0.0])
-        ll = log_likelihood_obs(params, obs, tol=1e-7, seed=1)
+        ll = log_likelihood_obs(params, [1, 1], [0.0, 0.0], tol=1e-7, seed=1)
         np.testing.assert_allclose(ll, math.log(0.25), atol=1e-6)
 
     def test_independent_factorization(self):
@@ -169,34 +168,35 @@ class TestLogLikelihoodObs:
         for trial in range(4):
             mu = rng.normal(size=3)
             b = rng.integers(0, 2, 3)
-            ll = log_likelihood_obs(params, Observation(b, mu), tol=1e-7, seed=trial)
+            ll = log_likelihood_obs(params, b, mu, tol=1e-7, seed=trial)
             exact = float(np.sum(log_ndtr((2.0 * b - 1.0) * mu)))
             np.testing.assert_allclose(ll, exact, atol=1e-5)
 
     def test_correlated_orthant(self):
         sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
         params = direct_params(2, lambda_for_sigma(sigma))
-        ll = log_likelihood_obs(params, Observation([1, 1], [0.0, 0.0]), tol=1e-7, seed=2)
+        ll = log_likelihood_obs(params, [1, 1], [0.0, 0.0], tol=1e-7, seed=2)
         np.testing.assert_allclose(ll, math.log(1.0 / 3.0), atol=1e-6)
 
 
 class TestLogLikelihoodDataset:
     def test_empty_dataset_is_zero(self):
         params = direct_params(2, np.eye(2))
-        assert log_likelihood_dataset(params, []) == 0.0
+        empty = Dataset(np.zeros((0, 2)), np.zeros((0, 2)), ["s0", "s1"], ["f0", "f1"])
+        assert log_likelihood_dataset(params, empty) == 0.0
 
     def test_singleton_matches_single_obs(self):
         sigma = np.array([[1.0, -0.3], [-0.3, 1.0]])
         params = direct_params(2, lambda_for_sigma(sigma))
-        obs = Observation([0, 1], [0.2, -0.5])
-        total = log_likelihood_dataset(params, [obs], tol=1e-7, seed=5)
-        single = log_likelihood_obs(params, obs, tol=1e-7, seed=5 ^ 0)
+        data = Dataset([[0, 1]], [[0.2, -0.5]], ["s0", "s1"], ["f0", "f1"])
+        total = log_likelihood_dataset(params, data, tol=1e-7, seed=5)
+        single = log_likelihood_obs(params, [0, 1], [0.2, -0.5], tol=1e-7, seed=5 ^ 0)
         np.testing.assert_allclose(total, single, rtol=1e-12)
 
     def test_additivity_independent_case(self):
         params = direct_params(2, np.eye(2))
-        obs = [Observation([1, 0], [0.3, 0.3]), Observation([0, 0], [-0.2, 1.0])]
-        total = log_likelihood_dataset(params, obs, tol=1e-7, seed=0)
+        data = Dataset([[1, 0], [0, 0]], [[0.3, 0.3], [-0.2, 1.0]], ["s0", "s1"], ["f0", "f1"])
+        total = log_likelihood_dataset(params, data, tol=1e-7, seed=0)
         exact = (
             log_ndtr(0.3) + log_ndtr(-0.3) + log_ndtr(0.2) + log_ndtr(-1.0)
         )
@@ -205,8 +205,8 @@ class TestLogLikelihoodDataset:
     def test_sigma_override_gives_independent_baseline(self):
         sigma = np.array([[1.0, 0.8], [0.8, 1.0]])
         params = direct_params(2, lambda_for_sigma(sigma))
-        obs = [Observation([1, 1], [0.1, 0.2])]
-        indep = log_likelihood_dataset(params, obs, sigma=np.eye(2))
+        data = Dataset([[1, 1]], [[0.1, 0.2]], ["s0", "s1"], ["f0", "f1"])
+        indep = log_likelihood_dataset(params, data, sigma=np.eye(2))
         exact = float(log_ndtr(0.1) + log_ndtr(0.2))
         np.testing.assert_allclose(indep, exact, rtol=1e-12)
 
@@ -224,7 +224,7 @@ class TestJointDistributionProperties:
         obs_ll = {}
         for k, pattern in enumerate(all_patterns(n)):
             obs_ll[tuple(pattern)] = math.exp(
-                log_likelihood_obs(params, Observation(pattern, mu), tol=1e-5, seed=k)
+                log_likelihood_obs(params, pattern, mu, tol=1e-5, seed=k)
             )
         for j in range(n):
             marginal = sum(p for bits, p in obs_ll.items() if bits[j] == 1)
@@ -238,7 +238,7 @@ class TestJointDistributionProperties:
         mu = rng.normal(size=n) * 0.5
         tol = 1e-6 if n <= 3 else 1e-5
         total = sum(
-            math.exp(log_likelihood_obs(params, Observation(p, mu), tol=tol, seed=k))
+            math.exp(log_likelihood_obs(params, p, mu, tol=tol, seed=k))
             for k, p in enumerate(all_patterns(n))
         )
         assert abs(total - 1.0) <= 4 * tol * 2**n
@@ -256,7 +256,7 @@ class TestJointDistributionProperties:
         sigma = np.array([[1.0, 0.6], [0.6, 1.0]])
         params = direct_params(2, lambda_for_sigma(sigma))
         total = sum(
-            math.exp(log_likelihood_obs(params, Observation(p, mu), tol=1e-7, seed=k))
+            math.exp(log_likelihood_obs(params, p, mu, tol=1e-7, seed=k))
             for k, p in enumerate(all_patterns(2))
             if p[0] == 1
         )
@@ -267,7 +267,7 @@ class TestJointDistributionProperties:
         params = direct_params(3, np.eye(3) * 4.0)
         mu = rng.normal(size=3)
         b = np.array([1, 0, 1], dtype=np.int8)
-        joint = math.exp(log_likelihood_obs(params, Observation(b, mu), tol=1e-6, seed=1))
+        joint = math.exp(log_likelihood_obs(params, b, mu, tol=1e-6, seed=1))
         product = float(np.prod(ndtr((2.0 * b - 1.0) * mu)))
         np.testing.assert_allclose(joint, product, atol=1e-6)
 
@@ -275,7 +275,7 @@ class TestJointDistributionProperties:
         sigma = np.array([[1.0, 0.9], [0.9, 1.0]])
         params = direct_params(2, lambda_for_sigma(sigma))
         prob = math.exp(
-            log_likelihood_obs(params, Observation([1, 1], [0.0, 0.0]), tol=1e-7, seed=3)
+            log_likelihood_obs(params, [1, 1], [0.0, 0.0], tol=1e-7, seed=3)
         )
         np.testing.assert_allclose(prob, bvn_orthant(0.9), atol=1e-6)
 

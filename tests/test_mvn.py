@@ -338,6 +338,10 @@ class TestSamplerConfig:
             SamplerConfig(thinning=0)
         with pytest.raises(ValueError):
             SamplerConfig(cutoff_k=2.0)
+        for bad in ({"cutoff_k": math.nan}, {"cutoff_k": math.inf}, {"burn_in_sweeps": -1}):
+            key, value = next(iter(bad.items()))
+            with pytest.raises(ValueError, match=f"{key} must be .*, got {value!r}"):
+                SamplerConfig(**bad)
 
 
 class TestMvnProblem:
@@ -350,3 +354,17 @@ class TestMvnProblem:
         cov = random_correlation(rng, 4)
         p = MvnProblem(np.zeros(4), cov)
         np.testing.assert_allclose(p.precision @ cov, np.eye(4), atol=1e-9)
+
+    def test_factor_is_computed_only(self):
+        with pytest.raises(TypeError):
+            MvnProblem([0.0, 0.0], np.eye(2), chol=np.eye(2))
+
+    def test_with_mean_shares_factor_and_checks_shape(self):
+        p = MvnProblem(np.zeros(2), np.array([[1.0, 0.4], [0.4, 1.0]]))
+        q = p.with_mean(np.ones((3, 2)))
+        assert q.chol is p.chol and q.precision is p.precision
+        np.testing.assert_array_equal(q.mean, np.ones((3, 2)))
+        np.testing.assert_array_equal(p.mean, np.zeros(2))
+        for bad in (np.zeros(3), np.zeros((2, 2, 2))):
+            with pytest.raises(DimMismatch):
+                p.with_mean(bad)

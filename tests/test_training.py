@@ -145,9 +145,9 @@ class TestKfoldSplit:
         with pytest.raises(InvalidK):
             kfold_split(3, 4, seed=0)
 
-    def test_accepts_dataset(self):
+    def test_covers_every_row_of_a_dataset(self):
         ds, _ = synth_generate(SynthSpec(n_species=1, m_features=1, n_obs=12, seed=3))
-        splits = kfold_split(ds, 3, seed=4)
+        splits = kfold_split(len(ds), 3, seed=4)
         assert sum(len(val) for _, val in splits) == 12
 
 
@@ -202,8 +202,8 @@ class TestTrain:
                          mu_scale=2.8, seed=31)
         ds, truth = synth_generate(spec)
         heldout = synth_from_truth(truth, 1500, seed=777)
-        bayes_scores = true_mu(truth, heldout.feature_matrix())[:, 0]
-        bayes = auc(bayes_scores, heldout.presence_matrix()[:, 0])
+        bayes_scores = true_mu(truth, heldout.features)[:, 0]
+        bayes = auc(bayes_scores, heldout.presence[:, 0])
         assert 0.93 <= bayes <= 0.97  # sanity on the construction
 
         cfg = TrainConfig(
@@ -243,8 +243,8 @@ class TestTrain:
 
         std_val = apply_standardization(validation, params.standardization)
         per_obs = np.array([
-            log_likelihood_obs(params, o, tol=1e-3, seed=i)
-            for i, o in enumerate(std_val.observations[:200])
+            log_likelihood_obs(params, b, l, tol=1e-3, seed=i)
+            for i, (b, l) in enumerate(zip(std_val.presence[:200], std_val.features[:200]))
         ])
         se = per_obs.std(ddof=1) / math.sqrt(len(std_val))
         dips = [max(0.0, vals[i] - vals[i + 1]) for i in range(len(vals) - 1)]
@@ -267,5 +267,5 @@ class TestTrain:
             hidden_dims=(6,),
         )
         params, _ = train(ds, cfg, init_seed=29)
-        learned = sigma_from_lambda(params.Lambda_raw).sigma[0, 1]
+        learned = sigma_from_lambda(params.Lambda_raw)[0, 1]
         assert learned > 0.4
