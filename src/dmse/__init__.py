@@ -28,9 +28,7 @@ from .model import (
     FeatureStandardization,
     ModelParams,
     init_model_params,
-    joint_probability,
-    log_likelihood_dataset,
-    log_likelihood_obs,
+    log_likelihood,
     mu_forward,
     predict_marginal,
     sigma_from_lambda,
@@ -41,6 +39,7 @@ from .mvn import (
     Rectangle,
     SamplerConfig,
     cdf_rectangle,
+    cdf_rectangles,
     cholesky,
     clip_rectangle,
     mvn_logpdf,

@@ -20,13 +20,14 @@ import sys
 from dataclasses import fields, replace
 
 import numpy as np
+from scipy.special import ndtr
 
 from . import dataio
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import ConfigError, DimMismatch, DmseError, NonFiniteGradient
+from .errors import ConfigError, DimMismatch, DmseError, NonFiniteGradient, NotPositiveDefinite
 from .evaluation import evaluate
-from .model import joint_probability, predict_marginal, sigma_from_lambda
-from .mvn import MvnProblem, SamplerConfig
+from .model import mu_forward, sigma_from_lambda
+from .mvn import MvnProblem, Rectangle, SamplerConfig, cdf_rectangles
 from .seeding import derive_seed
 from .training import TrainConfig, kfold_split, train
 
@@ -245,22 +246,20 @@ def cmd_predict(args) -> int:
                 "joint pattern queries are limited to models with at most 10 species"
             )
         patterns = _parse_patterns(args.joint_patterns, params.n_species)
-    shared = MvnProblem(np.zeros(params.n_species), sigma_from_lambda(params.Lambda_raw))
+    mu, _, _ = mu_forward(params, params.standardization.apply(feats))
+    problem = MvnProblem(mu, sigma_from_lambda(params.Lambda_raw))
+    joints = []
+    for k, pattern in enumerate(patterns):
+        seeds = [derive_seed(args.seed, "predict", i, k) for i in range(len(mu))]
+        joints.append(cdf_rectangles(problem, Rectangle.from_presence(pattern), seeds, args.tol))
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["sp:" + s for s in params.species_names]
             + ["pattern:" + "".join(str(int(v)) for v in p) for p in patterns]
         )
-        for i, l_std in enumerate(params.standardization.apply(feats)):
-            row = [repr(float(p)) for p in predict_marginal(params, l_std)]
-            for k, pattern in enumerate(patterns):
-                est = joint_probability(
-                    params, pattern, l_std,
-                    tol=args.tol, seed=derive_seed(args.seed, "predict", i, k),
-                    problem=shared,
-                )
-                row.append(repr(est.value))
+        for i, marginals in enumerate(ndtr(mu)):
+            row = [repr(float(p)) for p in marginals] + [repr(est[i].value) for est in joints]
             writer.writerow(row)
     print(f"wrote predictions {args.out}")
     return 0
@@ -330,35 +329,31 @@ def cmd_cv(args) -> int:
 
 
 def _build_synth_spec(entries: dict) -> dataio.SynthSpec:
-    known = {"n_species", "m_features", "n_obs", "mu_map", "mu_scale", "rho",
-             "sigma_csv", "seed"}
-    unknown = set(entries) - known
+    parsers = {"n_species": int, "m_features": int, "n_obs": int, "mu_map": str, "seed": int,
+               "mu_scale": float, "rho": float, "sigma_csv": read_correlation_csv}
+    unknown = set(entries) - set(parsers)
     if unknown:
         raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
-    try:
-        n = int(entries["n_species"])
-        m = int(entries["m_features"])
-        n_obs = int(entries["n_obs"])
-    except KeyError as exc:
-        raise ConfigError(f"missing required key {exc.args[0]!r}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if "sigma_csv" in entries:
-        _, sigma = read_correlation_csv(entries["sigma_csv"])
+    missing = [key for key in ("n_species", "m_features", "n_obs") if key not in entries]
+    if missing:
+        raise ConfigError(f"missing required key {missing[0]!r}")
+    spec = {}
+    for key, value in entries.items():
+        try:
+            spec[key] = parsers[key](value)
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"key {key!r}: cannot parse {value!r} ({exc})") from None
+    rho = spec.pop("rho", 0.0)
+    if "sigma_csv" in spec:
+        sigma = spec.pop("sigma_csv")[1]
     else:
-        rho = float(entries.get("rho", 0.0))
-        sigma = np.full((n, n), rho)
+        sigma = np.full((max(spec["n_species"], 0),) * 2, rho)  # SynthSpec rejects n < 1
         np.fill_diagonal(sigma, 1.0)
     try:
-        return dataio.SynthSpec(
-            n_species=n,
-            m_features=m,
-            n_obs=n_obs,
-            mu_map=entries.get("mu_map", "linear"),
-            true_sigma=sigma,
-            mu_scale=float(entries.get("mu_scale", 1.5)),
-            seed=int(entries.get("seed", 0)),
-        )
+        return dataio.SynthSpec(true_sigma=sigma, **spec)
+    except NotPositiveDefinite as exc:
+        key = "sigma_csv" if "sigma_csv" in entries else "rho"
+        raise ConfigError(f"key {key!r} = {entries.get(key, '0.0')!r}: {exc}") from exc
     except (ValueError, DimMismatch) as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -23,6 +23,7 @@ from .errors import (
     MalformedRow,
     NonBinaryPresence,
     NonFiniteFeature,
+    NotPositiveDefinite,
 )
 from .mlp import mlp_forward, mlp_init
 from .model import FeatureStandardization
@@ -263,6 +264,8 @@ class SynthSpec:
     which no linear model can represent). Each map is affinely calibrated
     on a fixed probe sample so every species' latent mean has standard
     deviation ``mu_scale`` over the feature distribution.
+    A ``true_sigma`` that is not finite and positive semidefinite raises
+    :class:`NotPositiveDefinite`; other invalid values raise ``ValueError``.
     """
 
     n_species: int
@@ -274,6 +277,14 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for key, ok, need in (
+            ("n_species", self.n_species >= 1, ">= 1"),
+            ("m_features", self.m_features >= 1, ">= 1"),
+            ("n_obs", self.n_obs >= 0, ">= 0"),
+            ("mu_scale", 0 < self.mu_scale < math.inf, "finite and > 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{key} must be {need}, got {getattr(self, key)!r}")
         if self.mu_map not in MU_MAP_KINDS:
             raise ValueError(f"mu_map must be one of {MU_MAP_KINDS}")
         sigma = self.true_sigma
@@ -282,6 +293,12 @@ class SynthSpec:
         sigma = np.asarray(sigma, dtype=float)
         if sigma.shape != (self.n_species, self.n_species):
             raise DimMismatch("true_sigma shape does not match n_species")
+        try:  # the factorization synth_from_truth draws with; NaN passes through it
+            factor = np.linalg.cholesky(sigma + 1e-12 * np.eye(self.n_species))
+        except np.linalg.LinAlgError:
+            factor = np.full_like(sigma, np.nan)
+        if not np.all(np.isfinite(factor)):
+            raise NotPositiveDefinite("true_sigma must be finite and positive semidefinite")
         if not np.allclose(np.diag(sigma), 1.0, atol=1e-12):
             raise ValueError("true_sigma must have unit diagonal")
         if np.abs(sigma - sigma.T).max() > 1e-12:

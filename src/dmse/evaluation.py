@@ -13,10 +13,11 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import log_ndtr, ndtr
 
 from .dataio import Dataset, apply_standardization
 from .errors import DegenerateLabels, DimMismatch
-from .model import ModelParams, log_likelihood_dataset, predict_marginal
+from .model import ModelParams, log_likelihood, mu_forward
 from .seeding import derive_seed
 
 __all__ = ["EvalReport", "auc", "evaluate"]
@@ -101,9 +102,10 @@ def evaluate(
 ) -> EvalReport:
     """Score a model on a raw dataset.
 
-    Features are standardized with the model's stored statistics. The
-    independent log-likelihood reuses the same means with the identity
-    correlation (closed-form probit factorization). Raises
+    Features are standardized with the model's stored statistics and mapped
+    to latent means once. Those means give the AUC scores ``Phi(mu)`` and
+    the independent log-likelihood, the closed-form probit factorization
+    under the identity correlation. Raises
     :class:`DimMismatch` for a dataset of another schema or with no rows.
     """
     if dataset.species_names != params.species_names:
@@ -118,7 +120,8 @@ def evaluate(
         raise DimMismatch("evaluation needs at least one observation")
     std_data = apply_standardization(dataset, params.standardization)
     presence = std_data.presence
-    scores = predict_marginal(params, std_data.features)
+    mu, _, _ = mu_forward(params, std_data.features)
+    scores = ndtr(mu)
 
     per_species = {}
     defined = []
@@ -132,14 +135,8 @@ def evaluate(
         defined.append(value)
     mean_auc = float(np.mean(defined)) if defined else float("nan")
 
-    joint = log_likelihood_dataset(
-        params, std_data, tol=cdf_tol, seed=derive_seed(seed, "joint")
+    joint = log_likelihood(
+        params, presence, std_data.features, cdf_tol, derive_seed(seed, "joint")
     )
-    independent = log_likelihood_dataset(
-        params,
-        std_data,
-        tol=cdf_tol,
-        seed=derive_seed(seed, "independent"),
-        sigma=np.eye(params.n_species),
-    )
+    independent = float(np.sum(log_ndtr((2.0 * presence - 1.0) * mu)))
     return EvalReport(per_species, mean_auc, joint, independent, len(dataset))

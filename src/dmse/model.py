@@ -9,7 +9,9 @@ when the model is configured without the network).
 
 The joint probability of a presence/absence pattern is the probability
 that a latent normal vector with mean ``mu(l)`` and the learned
-correlation matrix falls in the rectangle encoding the pattern.
+correlation matrix falls in the rectangle encoding the pattern;
+:func:`log_likelihood` sums its log over the rows of a dataset with one
+forward pass and one factorization.
 
 Model-layer functions expect features already standardized with the
 model's stored per-feature statistics; ingestion and evaluation layers own
@@ -23,18 +25,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
+from scipy.special import ndtr
 
 from .errors import DimMismatch, ZeroColumn
 from .mlp import MlpParams, MlpTape, glorot_uniform, mlp_forward, mlp_init
-from .mvn import (
-    CdfEstimate,
-    DEFAULT_CDF_TOL,
-    DEFAULT_MAX_SAMPLES,
-    MvnProblem,
-    Rectangle,
-    cdf_rectangle,
-)
+from .mvn import DEFAULT_CDF_TOL, MvnProblem, Rectangle, cdf_rectangles
 from .seeding import derive_seed
 
 log = logging.getLogger(__name__)
@@ -46,9 +41,7 @@ __all__ = [
     "sigma_from_lambda",
     "mu_forward",
     "predict_marginal",
-    "joint_probability",
-    "log_likelihood_obs",
-    "log_likelihood_dataset",
+    "log_likelihood",
 ]
 
 #: Columns of the raw interaction matrix are re-perturbed below this norm.
@@ -247,82 +240,33 @@ def predict_marginal(params: ModelParams, l: np.ndarray) -> np.ndarray:
     return ndtr(mu)
 
 
-def joint_probability(
+def log_likelihood(
     params: ModelParams,
-    b: np.ndarray,
-    l: np.ndarray,
-    tol: float = DEFAULT_CDF_TOL,
-    max_samples: int = DEFAULT_MAX_SAMPLES,
-    seed: int = 0,
-    problem: MvnProblem | None = None,
-) -> CdfEstimate:
-    """Probability of the presence pattern ``b`` at standardized ``l``.
-
-    ``problem`` may carry a pre-factorized covariance (the correlation
-    matrix does not depend on ``l``, so batch callers factorize once); its
-    mean is ignored and replaced by the forward map's output.
-    """
-    b = np.asarray(b)
-    if b.shape != (params.n_species,):
-        raise DimMismatch(f"pattern length {b.shape} != species count {params.n_species}")
-    mu, _, _ = mu_forward(params, l)
-    if problem is None:
-        problem = MvnProblem(mu, sigma_from_lambda(params.Lambda_raw))
-    else:
-        problem = problem.with_mean(mu)
-    return cdf_rectangle(problem, Rectangle.from_presence(b), tol, max_samples, seed)
-
-
-def log_likelihood_obs(
-    params: ModelParams,
-    b: np.ndarray,
-    l: np.ndarray,
+    presence: np.ndarray,
+    features: np.ndarray,
     tol: float = DEFAULT_CDF_TOL,
     seed: int = 0,
-    max_samples: int = DEFAULT_MAX_SAMPLES,
-    problem: MvnProblem | None = None,
 ) -> float:
-    """Log joint probability of the presence pattern ``b`` at standardized ``l``.
+    """Sum of the log joint probabilities of ``(N, n)`` presence rows at
+    ``(N, m)`` standardized features, each floored at 1e-300.
 
-    The result is the log of a probability, hence in ``(-inf, 0]``; the
-    value is floored at the smallest positive normal to keep it finite.
+    One forward pass and one factorization serve every row; row ``i``
+    integrates with seed ``seed XOR i``, and a row that misses the tolerance
+    is logged and kept. Zero rows give 0.0.
     """
-    est = joint_probability(params, b, l, tol, max_samples, seed, problem)
-    if not est.tolerance_reached:
-        log.warning(
-            "joint probability tolerance %g not reached (error %.2e after %d samples)",
-            tol, est.error_estimate, est.samples_used,
-        )
-    return math.log(max(est.value, 1e-300))
-
-
-def log_likelihood_dataset(
-    params: ModelParams,
-    dataset,
-    tol: float = DEFAULT_CDF_TOL,
-    seed: int = 0,
-    max_samples: int = DEFAULT_MAX_SAMPLES,
-    sigma: np.ndarray | None = None,
-) -> float:
-    """Sum of the log-likelihoods of a dataset's rows.
-
-    ``dataset`` is a :class:`dmse.dataio.Dataset` whose features are
-    already standardized; row ``i`` is integrated with seed ``seed XOR i``,
-    so the total is deterministic, and a failed tolerance on one row never
-    aborts the rest. ``sigma`` overrides the model's correlation matrix;
-    the identity (the independent baseline) is summed in closed form.
-    """
-    presence, features = dataset.presence, dataset.features
-    if not len(presence):
-        return 0.0
-    if sigma is None:
-        sigma = sigma_from_lambda(params.Lambda_raw)
-    if np.array_equal(sigma, np.eye(params.n_species)):
-        # Independent probit marginals: exact, no integration.
-        mu, _, _ = mu_forward(params, features)
-        return float(np.sum(log_ndtr((2.0 * presence - 1.0) * mu)))
-    shared = MvnProblem(np.zeros(params.n_species), sigma)
+    presence = np.asarray(presence)
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2 or presence.shape != (len(features), params.n_species):
+        raise DimMismatch(f"presence {presence.shape} does not match features {features.shape}")
+    mu, _, _ = mu_forward(params, features)
+    problem = MvnProblem(mu, sigma_from_lambda(params.Lambda_raw))
+    seeds = [seed ^ i for i in range(len(mu))]
     total = 0.0
-    for i, (b, l) in enumerate(zip(presence, features)):
-        total += log_likelihood_obs(params, b, l, tol, seed ^ i, max_samples, problem=shared)
+    for est in cdf_rectangles(problem, Rectangle.from_presence(presence), seeds, tol):
+        if not est.tolerance_reached:
+            log.warning(
+                "joint probability tolerance %g not reached (error %.2e after %d samples)",
+                tol, est.error_estimate, est.samples_used,
+            )
+        total += math.log(max(est.value, 1e-300))
     return total

@@ -8,7 +8,9 @@ gradients:
 - Density and log-density evaluation.
 - Rectangle (orthant) probabilities ``Pr(lower <= X <= upper)`` with a
   controlled error estimate, computed by the sequential-conditioning
-  transform to the unit hypercube and randomized lattice integration.
+  transform to the unit hypercube and randomized lattice integration:
+  :func:`cdf_rectangle` for one problem, :func:`cdf_rectangles` for every
+  row of a batch that shares one covariance.
 - Gibbs sampling of the normal restricted to an axis-aligned rectangle,
   with numerically safe truncated univariate draws. A problem's mean and a
   rectangle's bounds may carry a leading batch axis (one covariance, many
@@ -42,6 +44,7 @@ __all__ = [
     "mvn_pdf",
     "mvn_logpdf",
     "cdf_rectangle",
+    "cdf_rectangles",
     "truncation_bound",
     "clip_rectangle",
     "sample_truncated",
@@ -541,6 +544,32 @@ def cdf_rectangle(
             err = max(0.0, min(err, value + 1e-12, 1.0 - value + 1e-12))
             return CdfEstimate(value, err, used, reached)
         n_points *= 2
+
+
+def cdf_rectangles(
+    problem: MvnProblem,
+    rect: Rectangle,
+    seeds,
+    tol: float = DEFAULT_CDF_TOL,
+    max_samples: int = DEFAULT_MAX_SAMPLES,
+) -> list[CdfEstimate]:
+    """:func:`cdf_rectangle` for every row of a batch with one covariance.
+
+    ``problem.mean`` and the bounds of ``rect`` broadcast to ``(B, n)``
+    with ``B = len(seeds)``, so one rectangle may serve a batch of means
+    and one mean a batch of rectangles. Row ``i`` is integrated with seed
+    ``seeds[i]`` on the shared factorization; an empty batch gives ``[]``.
+    """
+    seeds = list(seeds)
+    shape = (len(seeds), problem.dim)
+    try:
+        rows = [np.broadcast_to(a, shape) for a in (problem.mean, rect.lower, rect.upper)]
+    except ValueError:
+        raise DimMismatch(f"{problem.mean.shape} and {rect.lower.shape} vs {shape}") from None
+    return [
+        cdf_rectangle(problem.with_mean(mean), Rectangle(lo, hi), tol, max_samples, seed)
+        for mean, lo, hi, seed in zip(*rows, seeds)
+    ]
 
 
 # ---------------------------------------------------------------------------

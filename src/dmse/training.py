@@ -27,12 +27,12 @@ from .mlp import DEFAULT_HIDDEN_DIMS, MlpGrads
 from .model import (
     ModelParams,
     init_model_params,
-    log_likelihood_dataset,
+    log_likelihood,
     mu_forward,
     sigma_from_lambda,
     _reperturb_zero_columns,
 )
-from .mvn import N_RANDOMIZATIONS, MvnProblem, Rectangle, SamplerConfig, cdf_rectangle
+from .mvn import N_RANDOMIZATIONS, MvnProblem, Rectangle, SamplerConfig, cdf_rectangles
 from .seeding import derive_seed
 
 log = logging.getLogger(__name__)
@@ -181,21 +181,15 @@ def _minibatch_bundle(params, presence, features, indices, cfg, sampler_seed, lo
     row ``i`` integrates its logged likelihood with ``loglik_seed ^ i``.
     Returns ``(bundle, mean_loglik, mean_loglik_rel_err, mean_grad_se)``.
     """
-    shared = MvnProblem(np.zeros(params.n_species), sigma_from_lambda(params.Lambda_raw))
     bits, feats = presence[indices], features[indices]
     mu, tape, h = mu_forward(params, feats)
-    musig = grad_mu_sigma(
-        shared.with_mean(mu),
-        Rectangle.from_presence(bits),
-        replace(cfg.sampler, rng_seed=sampler_seed),
-    )
+    problem = MvnProblem(mu, sigma_from_lambda(params.Lambda_raw))
+    rect = Rectangle.from_presence(bits)
+    musig = grad_mu_sigma(problem, rect, replace(cfg.sampler, rng_seed=sampler_seed))
     bundle = assemble_bundle(params, feats, musig, tape, h)
     stats = []
-    for i, row_mu, row_bits in zip(indices, mu, bits):
-        est = cdf_rectangle(
-            shared.with_mean(row_mu), Rectangle.from_presence(row_bits),
-            tol=cfg.cdf_tol, max_samples=LOGLIK_MAX_SAMPLES, seed=loglik_seed ^ int(i),
-        )
+    seeds = [loglik_seed ^ int(i) for i in indices]
+    for est in cdf_rectangles(problem, rect, seeds, cfg.cdf_tol, LOGLIK_MAX_SAMPLES):
         value = max(est.value, 1e-300)
         stats.append((np.log(value), est.error_estimate / value))
     mean_ll, mean_err = np.mean(stats, axis=0)
@@ -292,8 +286,8 @@ def train(
                 log_sink,
             )
             if val_std is not None and step % cfg.eval_every == 0:
-                val_ll = log_likelihood_dataset(
-                    params, val_std, tol=cfg.cdf_tol, seed=eval_seed
+                val_ll = log_likelihood(
+                    params, val_std.presence, val_std.features, cfg.cdf_tol, eval_seed
                 ) / len(val_std)
                 tlog.record_eval(
                     {"step": step, "epoch": epoch, "validation_loglik": val_ll},

@@ -27,7 +27,7 @@ from dmse.mlp import mlp_backward, mlp_forward, mlp_init
 from dmse.model import (
     FeatureStandardization,
     ModelParams,
-    log_likelihood_obs,
+    log_likelihood,
     mu_forward,
     sigma_from_lambda,
 )
@@ -230,9 +230,9 @@ def test_03_end_to_end_parameter_gradients():
         for i in range(view.shape[0]):
             orig = view[i]
             view[i] = orig + h
-            up = log_likelihood_obs(params, b, l, tol=tol, seed=6000 + eval_idx)
+            up = log_likelihood(params, [b], [l], tol=tol, seed=6000 + eval_idx)
             view[i] = orig - h
-            dn = log_likelihood_obs(params, b, l, tol=tol, seed=7000 + eval_idx)
+            dn = log_likelihood(params, [b], [l], tol=tol, seed=7000 + eval_idx)
             view[i] = orig
             fd.append((up - dn) / (2 * h))
             eval_idx += 1
@@ -372,7 +372,7 @@ def test_07_joint_beats_independent_on_heldout(trained_by_rho):
     from scipy.special import log_ndtr
 
     for i, (b, l) in enumerate(zip(std.presence, std.features)):
-        joint = log_likelihood_obs(params, b, l, tol=1e-4, seed=i, problem=shared)
+        joint = log_likelihood(params, [b], [l], tol=1e-4, seed=i)
         mu, _, _ = mu_forward(params, l)
         indep = float(np.sum(log_ndtr((2.0 * b - 1.0) * mu)))
         diffs[i] = joint - indep

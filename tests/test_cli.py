@@ -336,6 +336,15 @@ class TestPredictCommand:
             outputs.append(out.read_text())
         assert outputs[0] == outputs[1]
 
+    def test_header_only_features_write_only_the_header(self, tmp_path):
+        model = self.make_model(tmp_path, np.eye(2))
+        feats = tmp_path / "f.csv"
+        feats.write_text("env:x\n", encoding="utf-8")
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--features-csv", str(feats), "--model", model,
+                     "--out", str(out), "--joint-patterns", "11,01"]) == 0
+        assert out.read_text().splitlines() == ["sp:a,sp:b,pattern:11,pattern:01"]
+
     def test_bad_pattern_is_config_error(self, tmp_path, capsys):
         model = self.make_model(tmp_path, np.eye(2))
         feats = tmp_path / "f.csv"
@@ -427,3 +436,21 @@ class TestSynthCommand:
         code = main(["synth", "--spec-config", spec, "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "volume" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("rho", "abc"), ("rho", "2"), ("rho", "-0.6"), ("rho", "inf"), ("rho", "nan"),
+        ("mu_scale", "nan"), ("mu_scale", "-1"), ("mu_scale", "0"),
+        ("n_species", "0"), ("m_features", "0"), ("n_obs", "-5"), ("sigma_csv", None),
+    ])
+    def test_invalid_value_is_config_error(self, tmp_path, capsys, key, value):
+        entries = {"n_species": "3", "m_features": "2", "n_obs": "10", "rho": "0.2"}
+        if value is None:  # a correlation file with a non-numeric cell
+            value = write(tmp_path, "sigma.csv", "species,a,b,c\na,1,0,0\nb,0,1,x\nc,0,0,1\n")
+        entries[key] = value
+        spec = write(tmp_path, "s.cfg", "".join(f"{k} = {v}\n" for k, v in entries.items()))
+        code = main(["synth", "--spec-config", spec, "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ConfigError: ")
+        assert key in err and value in err
+        assert not (tmp_path / "x.csv").exists()

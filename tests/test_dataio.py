@@ -22,6 +22,7 @@ from dmse.errors import (
     MalformedRow,
     NonBinaryPresence,
     NonFiniteFeature,
+    NotPositiveDefinite,
 )
 from dmse.model import MvnProblem
 from dmse.mvn import Rectangle, cdf_rectangle
@@ -267,3 +268,16 @@ class TestSynthGenerate:
             )
         with pytest.raises(DimMismatch):
             SynthSpec(n_species=3, m_features=2, n_obs=5, true_sigma=np.eye(2))
+        for bad in (dict(n_species=0), dict(m_features=0), dict(n_obs=-1), dict(mu_scale=0.0),
+                    dict(mu_scale=-1.0), dict(mu_scale=np.nan), dict(mu_scale=np.inf)):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                SynthSpec(**{"n_species": 3, "m_features": 2, "n_obs": 5, **bad})
+        for rho, valid in ((2.0, False), (-0.6, False), (np.inf, False), (np.nan, False),
+                           (1.0, True), (-0.5, True)):  # -0.5 and 1 are singular but PSD
+            sigma = np.full((3, 3), rho)
+            np.fill_diagonal(sigma, 1.0)
+            if valid:
+                SynthSpec(n_species=3, m_features=2, n_obs=5, true_sigma=sigma)
+                continue
+            with pytest.raises(NotPositiveDefinite):
+                SynthSpec(n_species=3, m_features=2, n_obs=5, true_sigma=sigma)

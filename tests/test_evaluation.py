@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import log_ndtr
 
 from dmse.dataio import Dataset
 from dmse.errors import DegenerateLabels, DimMismatch
@@ -110,6 +111,14 @@ class TestEvaluate:
         data = generate(coef, sigma, 5000, seed=11)
         report = evaluate(params, data, cdf_tol=1e-4, seed=12)
         assert report.joint_loglik > report.independent_loglik
+
+    def test_independent_baseline_ignores_correlations(self):
+        sigma = np.array([[1.0, 0.8], [0.8, 1.0]])
+        params = truth_model(np.eye(2), sigma)
+        data = Dataset([[1, 1]], [[0.1, 0.2]], ["s0", "s1"], ["f0", "f1"])
+        indep = evaluate(params, data).independent_loglik
+        exact = float(log_ndtr(0.1) + log_ndtr(0.2))
+        np.testing.assert_allclose(indep, exact, rtol=1e-12)
 
     def test_single_class_species_reported_absent(self):
         rng = np.random.default_rng(13)

@@ -23,7 +23,7 @@ from dmse.gradients import (
 from dmse.model import (
     FeatureStandardization,
     ModelParams,
-    log_likelihood_obs,
+    log_likelihood,
     mu_forward,
     sigma_from_lambda,
 )
@@ -353,9 +353,9 @@ class TestAssembleBundle:
     def test_raw_column_scale_does_not_change_loglik(self):
         params = tiny_model(seed=5)
         b, l = [1, 1], [0.3, 0.1]
-        base = log_likelihood_obs(params, b, l, tol=1e-7, seed=1)
+        base = log_likelihood(params, [b], [l], tol=1e-7, seed=1)
         params.Lambda_raw[:, 0] *= 4.0  # power of two: exact normalization
-        rescaled = log_likelihood_obs(params, b, l, tol=1e-7, seed=1)
+        rescaled = log_likelihood(params, [b], [l], tol=1e-7, seed=1)
         assert base == rescaled
 
     def test_end_to_end_matches_finite_differences(self):
@@ -366,7 +366,7 @@ class TestAssembleBundle:
         fd_tol, fd_h = 1e-8, 1e-3
 
         def loglik():
-            return log_likelihood_obs(params, b, l, tol=fd_tol, seed=77)
+            return log_likelihood(params, [b], [l], tol=fd_tol, seed=77)
 
         # Replicated bundles give the estimate and an honest empirical SE.
         mu, tape, h = mu_forward(params, l)

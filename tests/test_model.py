@@ -12,8 +12,7 @@ from dmse.model import (
     FeatureStandardization,
     ModelParams,
     init_model_params,
-    log_likelihood_dataset,
-    log_likelihood_obs,
+    log_likelihood,
     mu_forward,
     predict_marginal,
     sigma_from_lambda,
@@ -159,7 +158,7 @@ class TestPredictMarginal:
 class TestLogLikelihoodObs:
     def test_independent_fair_coins(self):
         params = direct_params(2, np.eye(2))
-        ll = log_likelihood_obs(params, [1, 1], [0.0, 0.0], tol=1e-7, seed=1)
+        ll = log_likelihood(params, [[1, 1]], [[0.0, 0.0]], tol=1e-7, seed=1)
         np.testing.assert_allclose(ll, math.log(0.25), atol=1e-6)
 
     def test_independent_factorization(self):
@@ -168,14 +167,14 @@ class TestLogLikelihoodObs:
         for trial in range(4):
             mu = rng.normal(size=3)
             b = rng.integers(0, 2, 3)
-            ll = log_likelihood_obs(params, b, mu, tol=1e-7, seed=trial)
+            ll = log_likelihood(params, [b], [mu], tol=1e-7, seed=trial)
             exact = float(np.sum(log_ndtr((2.0 * b - 1.0) * mu)))
             np.testing.assert_allclose(ll, exact, atol=1e-5)
 
     def test_correlated_orthant(self):
         sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
         params = direct_params(2, lambda_for_sigma(sigma))
-        ll = log_likelihood_obs(params, [1, 1], [0.0, 0.0], tol=1e-7, seed=2)
+        ll = log_likelihood(params, [[1, 1]], [[0.0, 0.0]], tol=1e-7, seed=2)
         np.testing.assert_allclose(ll, math.log(1.0 / 3.0), atol=1e-6)
 
 
@@ -183,32 +182,35 @@ class TestLogLikelihoodDataset:
     def test_empty_dataset_is_zero(self):
         params = direct_params(2, np.eye(2))
         empty = Dataset(np.zeros((0, 2)), np.zeros((0, 2)), ["s0", "s1"], ["f0", "f1"])
-        assert log_likelihood_dataset(params, empty) == 0.0
+        assert log_likelihood(params, empty.presence, empty.features) == 0.0
 
-    def test_singleton_matches_single_obs(self):
+    def test_rows_are_single_row_calls_at_xor_seeds(self):
         sigma = np.array([[1.0, -0.3], [-0.3, 1.0]])
         params = direct_params(2, lambda_for_sigma(sigma))
-        data = Dataset([[0, 1]], [[0.2, -0.5]], ["s0", "s1"], ["f0", "f1"])
-        total = log_likelihood_dataset(params, data, tol=1e-7, seed=5)
-        single = log_likelihood_obs(params, [0, 1], [0.2, -0.5], tol=1e-7, seed=5 ^ 0)
-        np.testing.assert_allclose(total, single, rtol=1e-12)
+        b, l = [[0, 1], [1, 1]], [[0.2, -0.5], [-0.4, 0.9]]
+        total = log_likelihood(params, b, l, tol=1e-5, seed=5)
+        row0 = log_likelihood(params, b[:1], l[:1], tol=1e-5, seed=5)
+        row1 = log_likelihood(params, b[1:], l[1:], tol=1e-5, seed=5 ^ 1)
+        np.testing.assert_allclose(total, row0 + row1, rtol=1e-12)
+
+    @pytest.mark.parametrize("b, l", [
+        ([[0, 1, 1]], [[0.2, -0.5]]),  # presence wider than the species count
+        ([[0, 1]], [[0.2, -0.5], [0.1, 0.3]]),  # row counts disagree
+        ([0, 1], [[0.2, -0.5]]),  # presence not a matrix
+    ])
+    def test_shape_mismatch_rejected(self, b, l):
+        params = direct_params(2, np.eye(2))
+        with pytest.raises(DimMismatch):
+            log_likelihood(params, b, l)
 
     def test_additivity_independent_case(self):
         params = direct_params(2, np.eye(2))
         data = Dataset([[1, 0], [0, 0]], [[0.3, 0.3], [-0.2, 1.0]], ["s0", "s1"], ["f0", "f1"])
-        total = log_likelihood_dataset(params, data, tol=1e-7, seed=0)
+        total = log_likelihood(params, data.presence, data.features, tol=1e-7, seed=0)
         exact = (
             log_ndtr(0.3) + log_ndtr(-0.3) + log_ndtr(0.2) + log_ndtr(-1.0)
         )
         np.testing.assert_allclose(total, float(exact), atol=2e-5)
-
-    def test_sigma_override_gives_independent_baseline(self):
-        sigma = np.array([[1.0, 0.8], [0.8, 1.0]])
-        params = direct_params(2, lambda_for_sigma(sigma))
-        data = Dataset([[1, 1]], [[0.1, 0.2]], ["s0", "s1"], ["f0", "f1"])
-        indep = log_likelihood_dataset(params, data, sigma=np.eye(2))
-        exact = float(log_ndtr(0.1) + log_ndtr(0.2))
-        np.testing.assert_allclose(indep, exact, rtol=1e-12)
 
 
 class TestJointDistributionProperties:
@@ -224,7 +226,7 @@ class TestJointDistributionProperties:
         obs_ll = {}
         for k, pattern in enumerate(all_patterns(n)):
             obs_ll[tuple(pattern)] = math.exp(
-                log_likelihood_obs(params, pattern, mu, tol=1e-5, seed=k)
+                log_likelihood(params, [pattern], [mu], tol=1e-5, seed=k)
             )
         for j in range(n):
             marginal = sum(p for bits, p in obs_ll.items() if bits[j] == 1)
@@ -238,7 +240,7 @@ class TestJointDistributionProperties:
         mu = rng.normal(size=n) * 0.5
         tol = 1e-6 if n <= 3 else 1e-5
         total = sum(
-            math.exp(log_likelihood_obs(params, p, mu, tol=tol, seed=k))
+            math.exp(log_likelihood(params, [p], [mu], tol=tol, seed=k))
             for k, p in enumerate(all_patterns(n))
         )
         assert abs(total - 1.0) <= 4 * tol * 2**n
@@ -256,7 +258,7 @@ class TestJointDistributionProperties:
         sigma = np.array([[1.0, 0.6], [0.6, 1.0]])
         params = direct_params(2, lambda_for_sigma(sigma))
         total = sum(
-            math.exp(log_likelihood_obs(params, p, mu, tol=1e-7, seed=k))
+            math.exp(log_likelihood(params, [p], [mu], tol=1e-7, seed=k))
             for k, p in enumerate(all_patterns(2))
             if p[0] == 1
         )
@@ -267,7 +269,7 @@ class TestJointDistributionProperties:
         params = direct_params(3, np.eye(3) * 4.0)
         mu = rng.normal(size=3)
         b = np.array([1, 0, 1], dtype=np.int8)
-        joint = math.exp(log_likelihood_obs(params, b, mu, tol=1e-6, seed=1))
+        joint = math.exp(log_likelihood(params, [b], [mu], tol=1e-6, seed=1))
         product = float(np.prod(ndtr((2.0 * b - 1.0) * mu)))
         np.testing.assert_allclose(joint, product, atol=1e-6)
 
@@ -275,7 +277,7 @@ class TestJointDistributionProperties:
         sigma = np.array([[1.0, 0.9], [0.9, 1.0]])
         params = direct_params(2, lambda_for_sigma(sigma))
         prob = math.exp(
-            log_likelihood_obs(params, [1, 1], [0.0, 0.0], tol=1e-7, seed=3)
+            log_likelihood(params, [[1, 1]], [[0.0, 0.0]], tol=1e-7, seed=3)
         )
         np.testing.assert_allclose(prob, bvn_orthant(0.9), atol=1e-6)
 

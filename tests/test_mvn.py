@@ -11,6 +11,7 @@ from dmse.mvn import (
     Rectangle,
     SamplerConfig,
     cdf_rectangle,
+    cdf_rectangles,
     cholesky,
     clip_rectangle,
     mvn_logpdf,
@@ -189,6 +190,52 @@ class TestCdfRectangle:
         p = MvnProblem([0.0, 0.0], np.eye(2))
         with pytest.raises(DimMismatch):
             cdf_rectangle(p, Rectangle.from_presence([1, 1, 1]))
+
+
+class TestCdfRectangles:
+    def setup_method(self):
+        rng = np.random.default_rng(40)
+        self.cov = random_correlation(rng, 3)
+        self.mean = rng.normal(size=(4, 3))
+        self.bits = rng.integers(0, 2, (4, 3))
+
+    def test_rows_equal_scalar_calls(self):
+        p, rect = MvnProblem(self.mean, self.cov), Rectangle.from_presence(self.bits)
+        seeds = [7, 8, 2**63 + 5, 0]
+        got = cdf_rectangles(p, rect, seeds, tol=1e-4, max_samples=20_000)
+        want = [
+            cdf_rectangle(MvnProblem(m, self.cov), Rectangle.from_presence(b), 1e-4, 20_000, s)
+            for m, b, s in zip(self.mean, self.bits, seeds)
+        ]
+        assert got == want
+
+    def test_one_rectangle_broadcasts_over_means(self):
+        p, rect = MvnProblem(self.mean, self.cov), Rectangle.from_presence([1, 0, 1])
+        got = cdf_rectangles(p, rect, range(4), tol=1e-4)
+        want = [cdf_rectangle(p.with_mean(m), rect, 1e-4, seed=s) for s, m in enumerate(self.mean)]
+        assert got == want
+
+    def test_one_mean_broadcasts_over_rectangles(self):
+        p = MvnProblem(self.mean[0], self.cov)
+        got = cdf_rectangles(p, Rectangle.from_presence(self.bits), [3] * 4, tol=1e-4)
+        want = [cdf_rectangle(p, Rectangle.from_presence(b), 1e-4, seed=3) for b in self.bits]
+        assert got == want
+
+    def test_empty_batch(self):
+        p = MvnProblem(np.zeros((0, 3)), self.cov)
+        assert cdf_rectangles(p, Rectangle.from_presence(np.zeros((0, 3))), []) == []
+        one_mean = p.with_mean(np.zeros(3))
+        assert cdf_rectangles(one_mean, Rectangle.from_presence([1, 1, 0]), []) == []
+
+    @pytest.mark.parametrize("rows, bits, n_seeds", [
+        (4, [1, 1], 4),  # rectangle of another dimension
+        (4, [1, 1, 1], 3),  # fewer seeds than means
+        (1, np.ones((2, 3)), 3),  # seeds disagree with the rectangles
+    ])
+    def test_mismatch_rejected(self, rows, bits, n_seeds):
+        p = MvnProblem(self.mean[:rows], self.cov)
+        with pytest.raises(DimMismatch):
+            cdf_rectangles(p, Rectangle.from_presence(bits), range(n_seeds))
 
 
 class TestTruncationBound:

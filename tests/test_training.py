@@ -239,11 +239,11 @@ class TestTrain:
         # Proxy for the evaluation noise: spread of per-observation
         # log-likelihoods of the final model over the validation set.
         from dmse.dataio import apply_standardization
-        from dmse.model import log_likelihood_obs
+        from dmse.model import log_likelihood
 
         std_val = apply_standardization(validation, params.standardization)
         per_obs = np.array([
-            log_likelihood_obs(params, b, l, tol=1e-3, seed=i)
+            log_likelihood(params, [b], [l], tol=1e-3, seed=i)
             for i, (b, l) in enumerate(zip(std_val.presence[:200], std_val.features[:200]))
         ])
         se = per_obs.std(ddof=1) / math.sqrt(len(std_val))
