@@ -21,7 +21,7 @@ from .dataio import (
     synth_generate,
 )
 from .evaluation import EvalReport, auc, evaluate
-from .gradients import GradientBundle, MuSigmaGrad, assemble_bundle, grad_mu_sigma, score_F, score_G
+from .gradients import GradientBundle, MuSigmaGrad, assemble_bundle, grad_mu_sigma
 from .checkpoint import load_checkpoint, save_checkpoint
 from .mlp import MlpParams, MlpTape, mlp_backward, mlp_forward, mlp_init
 from .model import (
@@ -41,11 +41,9 @@ from .mvn import (
     cdf_rectangle,
     cdf_rectangles,
     cholesky,
-    clip_rectangle,
     mvn_logpdf,
     mvn_pdf,
     sample_truncated,
-    truncation_bound,
 )
 from .training import AdagradState, TrainConfig, TrainingLog, adagrad_step, kfold_split, train
 

@@ -36,8 +36,7 @@ EXIT_DATA = 3
 EXIT_TRAINING = 4
 
 _TRAIN_KEYS = {f.name: f.type for f in fields(TrainConfig) if f.name != "sampler"}
-# Training derives the sampler seed per step from the run seed: not a config key.
-_SAMPLER_KEYS = {f.name: f.type for f in fields(SamplerConfig) if f.name != "rng_seed"}
+_SAMPLER_KEYS = {f.name: f.type for f in fields(SamplerConfig)}
 
 
 # ---------------------------------------------------------------------------
@@ -73,21 +72,16 @@ def _parse_hidden_dims(value: str) -> tuple[int, ...]:
 
 
 def _coerce(key: str, value: str):
+    """``value`` parsed as the type of config field ``key``."""
     if key == "hidden_dims":
         return _parse_hidden_dims(value)
-    int_keys = {
-        "minibatch_size", "epochs", "seed", "eval_every", "d1", "d2",
-        "patience", "n_samples", "burn_in_sweeps", "thinning",
-    }
-    float_keys = {"learning_rate", "adagrad_epsilon", "cdf_tol", "cutoff_k"}
+    parse = {"int": int, "float": float}.get(_TRAIN_KEYS.get(key) or _SAMPLER_KEYS.get(key))
+    if parse is None:
+        raise ConfigError(f"unknown config key {key!r}")
     try:
-        if key in int_keys:
-            return int(value)
-        if key in float_keys:
-            return float(value)
+        return parse(value)
     except ValueError:
         raise ConfigError(f"key {key!r}: cannot parse {value!r}") from None
-    raise ConfigError(f"unknown config key {key!r}")
 
 
 def build_train_config(entries: dict) -> TrainConfig:

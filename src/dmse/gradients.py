@@ -29,13 +29,11 @@ import numpy as np
 from .errors import DimMismatch
 from .mlp import MlpGrads, MlpTape, mlp_backward
 from .model import ModelParams
-from .mvn import MvnProblem, Rectangle, SamplerConfig, clip_rectangle, sample_truncated
+from .mvn import MvnProblem, Rectangle, SamplerConfig, sample_truncated
 
 __all__ = [
     "MuSigmaGrad",
     "GradientBundle",
-    "score_F",
-    "score_G",
     "grad_mu_sigma",
     "assemble_bundle",
 ]
@@ -87,34 +85,17 @@ class GradientBundle:
         return bool(ok)
 
 
-def score_F(sigma_inv: np.ndarray, mu: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Mean-score ``Sigma^{-1}(x - mu)`` of the normal log-density."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != mu.shape[0]:
-        raise DimMismatch(f"point dim {x.shape[-1]} != mean dim {mu.shape[0]}")
-    return (x - mu) @ sigma_inv
-
-
-def score_G(sigma_inv: np.ndarray, mu: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Covariance-score of the normal log-density, symmetrized."""
-    f = score_F(sigma_inv, mu, x)
-    g = -0.5 * (sigma_inv - np.outer(f, f))
-    return 0.5 * (g + g.T)
-
-
 def grad_mu_sigma(
-    problem: MvnProblem, rect: Rectangle, cfg: SamplerConfig
+    problem: MvnProblem, rect: Rectangle, cfg: SamplerConfig, seed: int
 ) -> MuSigmaGrad:
     """Monte-Carlo estimate of the mean/covariance gradients of ``log Pr(rect)``.
 
-    The rectangle's infinite ends are clipped internally at
-    ``cfg.cutoff_k`` conditional standard deviations before sampling; the
-    discarded mass per coordinate is bounded by
-    :func:`dmse.mvn.truncation_bound`. A batched problem or rectangle gives
-    one estimate per row. Deterministic given ``cfg.rng_seed``.
+    The draws come from :func:`dmse.mvn.sample_truncated` on the rectangle
+    as given, infinite ends included, so the averages estimate the score
+    expectations under the exact truncated normal. A batched problem or
+    rectangle gives one estimate per row. Deterministic given ``seed``.
     """
-    clipped = clip_rectangle(rect, problem, cfg.cutoff_k)
-    draws = sample_truncated(problem, clipped, cfg)
+    draws = sample_truncated(problem, rect, cfg, seed)
     q = problem.precision
     # Row-wise Sigma^{-1}(x - mu), then split the draw axis into chains.
     f_draws = (draws - problem.mean[..., None, :]) @ q

@@ -45,8 +45,6 @@ __all__ = [
     "mvn_logpdf",
     "cdf_rectangle",
     "cdf_rectangles",
-    "truncation_bound",
-    "clip_rectangle",
     "sample_truncated",
 ]
 
@@ -88,14 +86,10 @@ class Rectangle:
 
     Bounds are IEEE floats; infinite ends are encoded as ``-inf``/``+inf``.
     Bounds of shape ``(B, n)`` hold one rectangle per row of a batch.
-    ``widened`` lists the flat indices into the bounds (the coordinates, for
-    one rectangle) whose clipping window had to be enlarged to keep the
-    rectangle nonempty (see :func:`clip_rectangle`).
     """
 
     lower: np.ndarray
     upper: np.ndarray
-    widened: tuple[int, ...] = ()
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
@@ -205,21 +199,19 @@ class SamplerConfig:
     Each observation runs :attr:`chains` chains (``CHAINS``, or fewer when
     ``n_samples`` is smaller), and ``n_samples`` is rounded up to whole
     chains. Each chain discards ``burn_in_sweeps`` sweeps, then keeps one
-    draw every ``thinning`` sweeps.
+    draw every ``thinning`` sweeps. The random seed is not part of the
+    configuration: each call of :func:`sample_truncated` takes its own.
     """
 
     n_samples: int = 256
     burn_in_sweeps: int = 50
     thinning: int = 2
-    cutoff_k: float = 5.0
-    rng_seed: int = 0
 
     def __post_init__(self):
         for key, ok, need in (
             ("n_samples", self.n_samples >= 1, ">= 1"),
             ("burn_in_sweeps", self.burn_in_sweeps >= 0, ">= 0"),
             ("thinning", self.thinning >= 1, ">= 1"),
-            ("cutoff_k", 3 <= self.cutoff_k < math.inf, "finite and >= 3"),
         ):
             if not ok:
                 raise ValueError(f"{key} must be {need}, got {getattr(self, key)!r}")
@@ -573,42 +565,6 @@ def cdf_rectangles(
 
 
 # ---------------------------------------------------------------------------
-# Tail cutoff
-# ---------------------------------------------------------------------------
-
-
-def truncation_bound(k: float) -> float:
-    """Upper bound ``exp(-k^2/2) / (k sqrt(2 pi))`` on one clipped tail.
-
-    This is the Mills-ratio bound on the normal mass beyond ``k`` standard
-    deviations on one side; it bounds the per-coordinate mass discarded
-    when an infinite rectangle end is clipped at ``mean +/- k*sd``.
-    """
-    if k <= 0:
-        raise ValueError("k must be positive")
-    return math.exp(-0.5 * k * k) / (k * _SQRT_TWO_PI)
-
-
-def clip_rectangle(rect: Rectangle, problem: MvnProblem, k: float) -> Rectangle:
-    """Clip infinite rectangle ends at ``mean_j +/- k * sd_j``.
-
-    If clipping would empty a coordinate (mean far outside the rectangle),
-    the window for that coordinate is re-centred on the rectangle-projected
-    mean, which keeps it nonempty, and its flat index is recorded in
-    ``widened``. Batched problems and rectangles clip row by row.
-    """
-    _batch_shape(problem, rect)
-    sd = np.sqrt(np.diag(problem.cov))
-    lo = np.maximum(rect.lower, problem.mean - k * sd)
-    hi = np.minimum(rect.upper, problem.mean + k * sd)
-    empty = lo >= hi
-    c = np.clip(problem.mean, rect.lower, rect.upper)
-    lo = np.where(empty, np.maximum(rect.lower, c - k * sd), lo)
-    hi = np.where(empty, np.minimum(rect.upper, c + k * sd), hi)
-    return Rectangle(lo, hi, tuple(int(i) for i in np.flatnonzero(empty)))
-
-
-# ---------------------------------------------------------------------------
 # Truncated Gibbs sampling
 # ---------------------------------------------------------------------------
 
@@ -642,7 +598,9 @@ def _trunc_std_normal(rng: np.random.Generator, u, a: np.ndarray, b: np.ndarray)
     return np.where(flip, -z, z)
 
 
-def sample_truncated(problem: MvnProblem, rect: Rectangle, cfg: SamplerConfig) -> np.ndarray:
+def sample_truncated(
+    problem: MvnProblem, rect: Rectangle, cfg: SamplerConfig, seed: int
+) -> np.ndarray:
     """Draw about ``cfg.n_samples`` from ``problem`` restricted to ``rect``.
 
     A systematic-scan Gibbs sampler: coordinate ``j`` is redrawn from its
@@ -652,12 +610,12 @@ def sample_truncated(problem: MvnProblem, rect: Rectangle, cfg: SamplerConfig) -
     ``cfg.chains`` chains from its rectangle-projected mean; all chains of
     all observations advance as one array, looping only over coordinates.
     Returns ``batch + (chains * per_chain, n)`` draws, chain-major, with
-    ``per_chain = ceil(n_samples / chains)``; deterministic given
-    ``cfg.rng_seed``.
+    ``per_chain = ceil(n_samples / chains)``; deterministic given ``seed``.
 
-    The rectangle should already be clipped to finite bounds via
-    :func:`clip_rectangle`; infinite bounds are accepted but slow the
-    far-tail draws.
+    The rectangle is sampled as given. Infinite ends, such as those of
+    :meth:`Rectangle.from_presence`, are drawn exactly: a conditional
+    interval more than ``_FAR_TAIL`` standard deviations out goes to the
+    rejection sampler, which accepts an unbounded far end.
     """
     batch = _batch_shape(problem, rect)
     n = problem.dim
@@ -666,7 +624,7 @@ def sample_truncated(problem: MvnProblem, rect: Rectangle, cfg: SamplerConfig) -
         raise SingularCovariance("precision matrix is not finite")
     chains = cfg.chains
     kept = -(-cfg.n_samples // chains)
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(seed)
 
     def per_row(a):
         # (n, rows): coordinate-major so each update touches one contiguous row.

@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -185,7 +185,7 @@ def _minibatch_bundle(params, presence, features, indices, cfg, sampler_seed, lo
     mu, tape, h = mu_forward(params, feats)
     problem = MvnProblem(mu, sigma_from_lambda(params.Lambda_raw))
     rect = Rectangle.from_presence(bits)
-    musig = grad_mu_sigma(problem, rect, replace(cfg.sampler, rng_seed=sampler_seed))
+    musig = grad_mu_sigma(problem, rect, cfg.sampler, sampler_seed)
     bundle = assemble_bundle(params, feats, musig, tape, h)
     stats = []
     seeds = [loglik_seed ^ int(i) for i in indices]

@@ -138,9 +138,8 @@ def test_02_gradient_estimators_match_finite_differences():
     # Univariate cases against the analytic derivative phi(mu)/Phi(mu).
     for case, (mu0, bit) in enumerate([(0.0, 1), (-0.4, 0)]):
         problem = MvnProblem([mu0], [[1.0]])
-        cfg = SamplerConfig(n_samples=100_000, burn_in_sweeps=50, thinning=1,
-                            rng_seed=1000 + case)
-        out = grad_mu_sigma(problem, Rectangle.from_presence([bit]), cfg)
+        cfg = SamplerConfig(n_samples=100_000, burn_in_sweeps=50, thinning=1)
+        out = grad_mu_sigma(problem, Rectangle.from_presence([bit]), cfg, 1000 + case)
         sign = 1.0 if bit == 1 else -1.0
         z = sign * mu0
         exact = sign * math.exp(-0.5 * mu0 * mu0) / math.sqrt(2 * math.pi) / ndtr(z)
@@ -157,9 +156,8 @@ def test_02_gradient_estimators_match_finite_differences():
         bits = rng.integers(0, 2, n)
         rect = Rectangle.from_presence(bits)
         problem = MvnProblem(mean, cov)
-        cfg = SamplerConfig(n_samples=100_000, burn_in_sweeps=50, thinning=1,
-                            rng_seed=2000 + case)
-        out = grad_mu_sigma(problem, rect, cfg)
+        cfg = SamplerConfig(n_samples=100_000, burn_in_sweeps=50, thinning=1)
+        out = grad_mu_sigma(problem, rect, cfg, 2000 + case)
         fd_mu = _fd_mu(mean, cov, rect, h, tol, seed0=3000 + 100 * case)
         fd_sig = _fd_sigma(mean, cov, rect, h, tol, seed0=5000 + 100 * case)
         dev_mu = np.abs(out.d_mu - fd_mu) - (3 * out.se_mu + allowance)
@@ -213,9 +211,8 @@ def test_03_end_to_end_parameter_gradients():
 
     reps = []
     for r in range(12):
-        cfg = SamplerConfig(n_samples=10_000, burn_in_sweeps=40, thinning=1,
-                            rng_seed=4000 + r)
-        musig = grad_mu_sigma(problem, rect, cfg)
+        cfg = SamplerConfig(n_samples=10_000, burn_in_sweeps=40, thinning=1)
+        musig = grad_mu_sigma(problem, rect, cfg, 4000 + r)
         reps.append(flatten(assemble_bundle(params, l, musig, tape, hvec)))
     flat = np.array(reps)
     est = flat.mean(axis=0)
@@ -366,8 +363,6 @@ def test_07_joint_beats_independent_on_heldout(trained_by_rho):
     params, truth = trained_by_rho[0.7]
     heldout = synth_from_truth(truth, 2000, seed=9090)
     std = apply_standardization(heldout, params.standardization)
-    sigma = sigma_from_lambda(params.Lambda_raw)
-    shared = MvnProblem(np.zeros(2), sigma)
     diffs = np.empty(len(std))
     from scipy.special import log_ndtr
 

@@ -79,12 +79,11 @@ class TestConfigParsing:
             "seed": "9", "eval_every": "50", "d1": "7", "d2": "5",
             "hidden_dims": "32,16", "patience": "2",
             "n_samples": "64", "burn_in_sweeps": "20", "thinning": "3",
-            "cutoff_k": "4.5",
         })
         assert cfg.learning_rate == 0.2
         assert cfg.hidden_dims == (32, 16)
         assert cfg.sampler.n_samples == 64
-        assert cfg.sampler.cutoff_k == 4.5
+        assert cfg.sampler.thinning == 3
         # Training derives the sampler seed per step, so it is not a key.
         with pytest.raises(ConfigError, match="unknown config key 'rng_seed'"):
             build_train_config({"rng_seed": "11"})
@@ -97,7 +96,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             build_train_config({"epochs": "three"})
         for key, value, shown in [
-            ("cutoff_k", "nan", "nan"), ("learning_rate", "nan", "nan"),
+            ("learning_rate", "nan", "nan"),
             ("learning_rate", "inf", "inf"), ("cdf_tol", "-1", "-1.0"),
             ("cdf_tol", "nan", "nan"), ("adagrad_epsilon", "inf", "inf"),
             ("patience", "-3", "-3"), ("hidden_dims", "0", "(0,)"),
@@ -186,7 +185,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, named", [
         (["train", "--patience", "-3"], "--patience: patience must be >= 0, got -3"),
-        (["train", "--set", "cutoff_k=nan"], "cutoff_k must be finite and >= 3, got nan"),
+        (["train", "--set", "cutoff_k=5"], "unknown config key 'cutoff_k'"),
         (["eval", "--tol", "-1"], "--tol must be finite and > 0, got -1.0"),
         (["eval", "--tol", "nan"], "--tol must be finite and > 0, got nan"),
         (["predict", "--tol", "0"], "--tol must be finite and > 0, got 0.0"),

@@ -10,15 +10,14 @@ three Monte-Carlo standard errors with the oracle's own noise floor
 import math
 
 import numpy as np
-from scipy.special import ndtr
+import pytest
+from scipy.special import log_ndtr, ndtr
 
 from dmse.gradients import (
     GradientBundle,
     assemble_bundle,
     grad_mu_sigma,
     lambda_grad_from_sigma,
-    score_F,
-    score_G,
 )
 from dmse.model import (
     FeatureStandardization,
@@ -80,87 +79,46 @@ def fd_noise(h, tol):
     return 2.0 * tol / h + 10.0 * h * h
 
 
-class TestScoreFunctions:
-    def test_F_identity_covariance(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=3)
-        np.testing.assert_allclose(score_F(np.eye(3), np.zeros(3), x), x, atol=1e-15)
-
-    def test_F_at_mean_is_zero(self):
-        mu = np.array([0.3, -0.7])
-        np.testing.assert_array_equal(score_F(np.eye(2), mu, mu), 0.0)
-
-    def test_F_diagonal_example(self):
-        sigma_inv = np.diag([0.25, 1.0])  # inverse of diag(4, 1)
-        out = score_F(sigma_inv, np.zeros(2), np.array([2.0, 3.0]))
-        np.testing.assert_allclose(out, [0.5, 3.0], atol=1e-15)
-
-    def test_G_at_center(self):
-        out = score_G(np.eye(2), np.zeros(2), np.zeros(2))
-        np.testing.assert_allclose(out, -0.5 * np.eye(2), atol=1e-15)
-
-    def test_G_unit_vector(self):
-        e1 = np.array([1.0, 0.0])
-        out = score_G(np.eye(2), np.zeros(2), e1)
-        np.testing.assert_allclose(out, -0.5 * (np.eye(2) - np.outer(e1, e1)), atol=1e-15)
-
-    def test_G_matches_logpdf_finite_differences(self):
-        """G must be the entrywise derivative of the log-density in Sigma."""
-        rng = np.random.default_rng(2)
-        cov = random_correlation(rng, 3)
-        mu = rng.normal(size=3)
-        x = rng.normal(size=3)
-        g = score_G(np.linalg.inv(cov), mu, x)
-
-        def logpdf(sigma):
-            d = x - mu
-            return float(
-                -1.5 * math.log(2 * math.pi)
-                - 0.5 * math.log(np.linalg.det(sigma))
-                - 0.5 * d @ np.linalg.inv(sigma) @ d
-            )
-
-        h = 1e-6
-        for j in range(3):
-            for t in range(3):
-                pert = np.zeros((3, 3))
-                pert[j, t] = h
-                fd = (logpdf(cov + pert) - logpdf(cov - pert)) / (2 * h)
-                np.testing.assert_allclose(g[j, t], fd, rtol=1e-6, atol=1e-9)
-
-
 class TestGradMuSigma:
     def test_univariate_presence_closed_form(self):
         """d/dmu log Phi(mu) at 0 is phi(0)/Phi(0) = 2 phi(0)."""
         p = MvnProblem([0.0], [[1.0]])
-        cfg = SamplerConfig(n_samples=100_000, burn_in_sweeps=50, thinning=1, rng_seed=3)
-        out = grad_mu_sigma(p, Rectangle.from_presence([1]), cfg)
+        cfg = SamplerConfig(n_samples=100_000, burn_in_sweeps=50, thinning=1)
+        out = grad_mu_sigma(p, Rectangle.from_presence([1]), cfg, 3)
         exact = 2.0 / math.sqrt(2 * math.pi)
         assert abs(out.d_mu[0] - exact) <= 3 * out.se_mu[0]
 
     def test_univariate_absence_sign_flip(self):
         p = MvnProblem([0.0], [[1.0]])
-        cfg = SamplerConfig(n_samples=100_000, burn_in_sweeps=50, thinning=1, rng_seed=4)
-        out = grad_mu_sigma(p, Rectangle.from_presence([0]), cfg)
+        cfg = SamplerConfig(n_samples=100_000, burn_in_sweeps=50, thinning=1)
+        out = grad_mu_sigma(p, Rectangle.from_presence([0]), cfg, 4)
         exact = -2.0 / math.sqrt(2 * math.pi)
         assert abs(out.d_mu[0] - exact) <= 3 * out.se_mu[0]
 
     def test_univariate_nonzero_mean(self):
         mu = 0.7
         p = MvnProblem([mu], [[1.0]])
-        cfg = SamplerConfig(n_samples=100_000, burn_in_sweeps=50, thinning=1, rng_seed=5)
-        out = grad_mu_sigma(p, Rectangle.from_presence([1]), cfg)
+        cfg = SamplerConfig(n_samples=100_000, burn_in_sweeps=50, thinning=1)
+        out = grad_mu_sigma(p, Rectangle.from_presence([1]), cfg, 5)
         phi = math.exp(-0.5 * mu * mu) / math.sqrt(2 * math.pi)
         exact = phi / ndtr(mu)
         assert abs(out.d_mu[0] - exact) <= 3 * out.se_mu[0]
+
+    @pytest.mark.parametrize("mu", [4.0, 4.5, 4.9])
+    def test_absent_far_above_mean_closed_form(self, mu):
+        """d/dmu log Phi(-mu) = -phi(mu)/Phi(-mu), with the whole lower tail sampled."""
+        p = MvnProblem([mu], [[1.0]])
+        out = grad_mu_sigma(p, Rectangle.from_presence([0]), SamplerConfig(n_samples=4096), 7)
+        exact = -math.exp(-0.5 * mu * mu - 0.5 * math.log(2 * math.pi) - log_ndtr(-mu))
+        assert abs(out.d_mu[0] - exact) <= 4 * out.se_mu[0]
 
     def test_bivariate_matches_fd_oracle(self):
         mean = np.array([0.2, -0.3])
         cov = np.array([[1.0, 0.4], [0.4, 1.0]])
         rect = Rectangle.from_presence([1, 0])
         p = MvnProblem(mean, cov)
-        cfg = SamplerConfig(n_samples=100_000, burn_in_sweeps=50, thinning=1, rng_seed=6)
-        out = grad_mu_sigma(p, rect, cfg)
+        cfg = SamplerConfig(n_samples=100_000, burn_in_sweeps=50, thinning=1)
+        out = grad_mu_sigma(p, rect, cfg, 6)
         h, tol = 1e-4, 1e-7
         fd_mu = fd_logp_mu(mean, cov, rect, h, tol)
         fd_sigma = fd_logp_sigma(mean, cov, rect, h, tol)
@@ -183,8 +141,8 @@ class TestGradMuSigma:
         reps = []
         ses = []
         for r in range(40):
-            cfg = SamplerConfig(n_samples=2000, burn_in_sweeps=30, thinning=1, rng_seed=100 + r)
-            out = grad_mu_sigma(p, rect, cfg)
+            cfg = SamplerConfig(n_samples=2000, burn_in_sweeps=30, thinning=1)
+            out = grad_mu_sigma(p, rect, cfg, 100 + r)
             reps.append(out.d_mu)
             ses.append(out.se_mu)
         empirical = np.std(np.array(reps), axis=0, ddof=1)
@@ -203,9 +161,9 @@ class TestGradMuSigma:
             reps = []
             for r in range(50):
                 cfg = SamplerConfig(
-                    n_samples=m, burn_in_sweeps=30, thinning=1, rng_seed=base_seed + r
+                    n_samples=m, burn_in_sweeps=30, thinning=1
                 )
-                reps.append(grad_mu_sigma(p, rect, cfg).d_mu)
+                reps.append(grad_mu_sigma(p, rect, cfg, base_seed + r).d_mu)
             return np.std(np.array(reps), axis=0, ddof=1)
 
         s1 = replicate_std(800, 10_000)
@@ -216,9 +174,9 @@ class TestGradMuSigma:
 
     def test_deterministic_given_seed(self):
         p = MvnProblem([0.0, 0.0], np.array([[1.0, 0.3], [0.3, 1.0]]))
-        cfg = SamplerConfig(n_samples=500, burn_in_sweeps=20, thinning=2, rng_seed=9)
-        a = grad_mu_sigma(p, Rectangle.from_presence([1, 1]), cfg)
-        b = grad_mu_sigma(p, Rectangle.from_presence([1, 1]), cfg)
+        cfg = SamplerConfig(n_samples=500, burn_in_sweeps=20, thinning=2)
+        a = grad_mu_sigma(p, Rectangle.from_presence([1, 1]), cfg, 9)
+        b = grad_mu_sigma(p, Rectangle.from_presence([1, 1]), cfg, 9)
         np.testing.assert_array_equal(a.d_mu, b.d_mu)
         np.testing.assert_array_equal(a.d_sigma, b.d_sigma)
 
@@ -226,8 +184,8 @@ class TestGradMuSigma:
         rng = np.random.default_rng(11)
         cov = random_correlation(rng, 3)
         p = MvnProblem(rng.normal(size=3), cov)
-        cfg = SamplerConfig(n_samples=1000, burn_in_sweeps=20, thinning=1, rng_seed=12)
-        out = grad_mu_sigma(p, Rectangle.from_presence([1, 0, 1]), cfg)
+        cfg = SamplerConfig(n_samples=1000, burn_in_sweeps=20, thinning=1)
+        out = grad_mu_sigma(p, Rectangle.from_presence([1, 0, 1]), cfg, 12)
         np.testing.assert_array_equal(out.d_sigma, out.d_sigma.T)
 
     def test_offdiagonal_gradient_vanishes_at_truth(self):
@@ -242,8 +200,9 @@ class TestGradMuSigma:
         vals = []
         for i in range(n_obs):
             b = (rng.random(2) < marginals).astype(int)
-            cfg = SamplerConfig(n_samples=400, burn_in_sweeps=20, thinning=1, rng_seed=500 + i)
-            vals.append(grad_mu_sigma(p, Rectangle.from_presence(b), cfg).d_sigma[0, 1])
+            cfg = SamplerConfig(n_samples=400, burn_in_sweeps=20, thinning=1)
+            out = grad_mu_sigma(p, Rectangle.from_presence(b), cfg, 500 + i)
+            vals.append(out.d_sigma[0, 1])
         vals = np.array(vals)
         se = vals.std(ddof=1) / math.sqrt(n_obs)
         assert abs(vals.mean()) <= 3 * se
@@ -375,9 +334,8 @@ class TestAssembleBundle:
         rect = Rectangle.from_presence(b)
         reps = []
         for r in range(12):
-            cfg = SamplerConfig(n_samples=8000, burn_in_sweeps=30, thinning=1,
-                                rng_seed=900 + r)
-            musig = grad_mu_sigma(problem, rect, cfg)
+            cfg = SamplerConfig(n_samples=8000, burn_in_sweeps=30, thinning=1)
+            musig = grad_mu_sigma(problem, rect, cfg, 900 + r)
             reps.append(assemble_bundle(params, l, musig, tape, h))
 
         def flatten(bundle):

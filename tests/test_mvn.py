@@ -1,5 +1,6 @@
 """Tests for the multivariate normal primitives."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,11 +14,9 @@ from dmse.mvn import (
     cdf_rectangle,
     cdf_rectangles,
     cholesky,
-    clip_rectangle,
     mvn_logpdf,
     mvn_pdf,
     sample_truncated,
-    truncation_bound,
 )
 from oracles import (
     batch_se,
@@ -238,86 +237,20 @@ class TestCdfRectangles:
             cdf_rectangles(p, Rectangle.from_presence(bits), range(n_seeds))
 
 
-class TestTruncationBound:
-    def test_k1(self):
-        # exp(-1/2)/sqrt(2 pi) evaluated directly.
-        np.testing.assert_allclose(truncation_bound(1.0), 0.24197072451914337, rtol=1e-12)
-
-    def test_k5(self):
-        np.testing.assert_allclose(truncation_bound(5.0), 2.9734390294685958e-07, rtol=1e-10)
-
-    def test_vanishes_at_infinity(self):
-        assert truncation_bound(50.0) < 1e-300 or truncation_bound(50.0) < truncation_bound(40.0)
-        assert truncation_bound(40.0) < 1e-100
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            truncation_bound(0.0)
-
-    def test_dominates_one_sided_clipped_mass(self):
-        # The mass a clip discards on each side is the one-sided tail,
-        # which the bound dominates; check empirically per coordinate.
-        rng = np.random.default_rng(17)
-        cov = random_correlation(rng, 2)
-        mean = np.array([0.4, -0.2])
-        chol = np.linalg.cholesky(cov)
-        draws = mean + rng.standard_normal((200_000, 2)) @ chol.T
-        for k in (2.0, 3.0):
-            bound = truncation_bound(k)
-            for j in range(2):
-                sd = math.sqrt(cov[j, j])
-                above = np.mean(draws[:, j] > mean[j] + k * sd)
-                below = np.mean(draws[:, j] < mean[j] - k * sd)
-                se = math.sqrt(bound / len(draws))
-                assert above <= bound + 3 * se
-                assert below <= bound + 3 * se
-
-
-class TestClipRectangle:
-    def test_halfline_clips_at_k_sigma(self):
-        p = MvnProblem([0.0], [[1.0]])
-        out = clip_rectangle(Rectangle([0.0], [np.inf]), p, 5.0)
-        np.testing.assert_allclose(out.lower, [0.0])
-        np.testing.assert_allclose(out.upper, [5.0])
-        assert out.widened == ()
-
-    def test_offset_mean(self):
-        p = MvnProblem([2.0], [[1.0]])
-        out = clip_rectangle(Rectangle([-np.inf], [0.0]), p, 3.0)
-        np.testing.assert_allclose(out.lower, [-1.0])
-        np.testing.assert_allclose(out.upper, [0.0])
-
-    def test_interior_rectangle_unchanged(self):
-        p = MvnProblem([0.0, 0.0], np.eye(2))
-        rect = Rectangle([-1.0, -2.0], [1.0, 2.0])
-        out = clip_rectangle(rect, p, 5.0)
-        np.testing.assert_array_equal(out.lower, rect.lower)
-        np.testing.assert_array_equal(out.upper, rect.upper)
-
-    def test_far_mean_widens_window(self):
-        # Mean far above an upper bound of 0: the naive window is empty, so
-        # the clip recenters on the rectangle-projected mean and flags it.
-        p = MvnProblem([10.0], [[1.0]])
-        out = clip_rectangle(Rectangle([-np.inf], [0.0]), p, 3.0)
-        assert out.widened == (0,)
-        assert out.lower[0] < out.upper[0] <= 0.0
-
-
 class TestSampleTruncated:
     def test_halfline_mean(self):
         p = MvnProblem([0.0], [[1.0]])
-        rect = clip_rectangle(Rectangle([0.0], [np.inf]), p, 5.0)
-        cfg = SamplerConfig(n_samples=100_000, burn_in_sweeps=50, thinning=1, rng_seed=9)
-        draws = sample_truncated(p, rect, cfg)
+        rect = Rectangle([0.0], [np.inf])
+        cfg = SamplerConfig(n_samples=100_000, burn_in_sweeps=50, thinning=1)
+        draws = sample_truncated(p, rect, cfg, 9)
         se = batch_se(draws[:, 0])
-        # Clipping at 5 sd biases the mean by < 3e-7, far below the MC noise.
         assert abs(draws.mean() - math.sqrt(2 / math.pi)) <= 3 * se
 
     def test_independent_coordinates_uncorrelated(self):
         p = MvnProblem([0.0, 0.0], np.eye(2))
-        rect = clip_rectangle(Rectangle.from_presence([1, 1]), p, 5.0)
-        cfg = SamplerConfig(n_samples=50_000, burn_in_sweeps=50, thinning=1, rng_seed=3)
-        draws = sample_truncated(p, rect, cfg)
+        rect = Rectangle.from_presence([1, 1])
+        cfg = SamplerConfig(n_samples=50_000, burn_in_sweeps=50, thinning=1)
+        draws = sample_truncated(p, rect, cfg, 3)
         centered = (draws - draws.mean(axis=0)) / draws.std(axis=0)
         prod = centered[:, 0] * centered[:, 1]
         assert abs(prod.mean()) <= 3 * batch_se(prod)
@@ -325,9 +258,9 @@ class TestSampleTruncated:
     def test_moments_match_rejection_oracle(self):
         cov = np.array([[1.0, 0.8], [0.8, 1.0]])
         p = MvnProblem([0.0, 0.0], cov)
-        rect = clip_rectangle(Rectangle.from_presence([1, 1]), p, 5.0)
-        cfg = SamplerConfig(n_samples=60_000, burn_in_sweeps=50, thinning=2, rng_seed=12)
-        gibbs = sample_truncated(p, rect, cfg)
+        rect = Rectangle.from_presence([1, 1])
+        cfg = SamplerConfig(n_samples=60_000, burn_in_sweeps=50, thinning=2)
+        gibbs = sample_truncated(p, rect, cfg, 12)
         oracle = rejection_truncated([0.0, 0.0], cov, [0.0, 0.0], [np.inf, np.inf], 200_000, seed=8)
         for j in range(2):
             se = math.hypot(batch_se(gibbs[:, j]), oracle[:, j].std() / math.sqrt(len(oracle)))
@@ -342,16 +275,16 @@ class TestSampleTruncated:
         rng = np.random.default_rng(14)
         cov = random_correlation(rng, 3)
         p = MvnProblem(rng.normal(size=3), cov)
-        rect = clip_rectangle(Rectangle.from_presence([1, 0, 1]), p, 5.0)
-        cfg = SamplerConfig(n_samples=5000, burn_in_sweeps=20, thinning=1, rng_seed=2)
-        draws = sample_truncated(p, rect, cfg)
+        rect = Rectangle.from_presence([1, 0, 1])
+        cfg = SamplerConfig(n_samples=5000, burn_in_sweeps=20, thinning=1)
+        draws = sample_truncated(p, rect, cfg, 2)
         assert np.all(draws > rect.lower)
         assert np.all(draws < rect.upper)
         # Two observations in one call, with disjoint rectangles: each row
         # stays inside its own bounds.
         batch = p.with_mean(np.stack([p.mean, -p.mean]))
-        rects = clip_rectangle(Rectangle.from_presence([[1, 0, 1], [0, 1, 0]]), batch, 5.0)
-        draws = sample_truncated(batch, rects, cfg)
+        rects = Rectangle.from_presence([[1, 0, 1], [0, 1, 0]])
+        draws = sample_truncated(batch, rects, cfg, 2)
         assert draws.shape[0] == 2
         assert np.all(draws > rects.lower[:, None, :])
         assert np.all(draws < rects.upper[:, None, :])
@@ -359,22 +292,24 @@ class TestSampleTruncated:
     def test_reproducible_bitwise(self):
         cov = np.array([[1.0, -0.4], [-0.4, 1.0]])
         p = MvnProblem([0.2, -0.1], cov)
-        rect = clip_rectangle(Rectangle.from_presence([0, 1]), p, 5.0)
-        cfg = SamplerConfig(n_samples=500, burn_in_sweeps=30, thinning=2, rng_seed=77)
-        a = sample_truncated(p, rect, cfg)
-        b = sample_truncated(p, rect, cfg)
+        rect = Rectangle.from_presence([0, 1])
+        cfg = SamplerConfig(n_samples=500, burn_in_sweeps=30, thinning=2)
+        a = sample_truncated(p, rect, cfg, 77)
+        b = sample_truncated(p, rect, cfg, 77)
         np.testing.assert_array_equal(a, b)
 
     def test_far_tail_interval(self):
-        # Interval entirely beyond 4 sd exercises the rejection path.
-        p = MvnProblem([0.0], [[1.0]])
-        cfg = SamplerConfig(n_samples=20_000, burn_in_sweeps=10, thinning=1, rng_seed=5)
-        draws = sample_truncated(p, Rectangle([5.0], [7.0]), cfg)
-        assert np.all((draws > 5.0) & (draws < 7.0))
+        # Intervals entirely beyond 4 sd exercise the rejection path; the
+        # unbounded one takes its whole exponential proposal (cap = 1).
         from scipy.stats import truncnorm
 
-        exact = truncnorm(5.0, 7.0).mean()
-        assert abs(draws.mean() - exact) <= 4 * batch_se(draws[:, 0]) + 1e-3
+        p = MvnProblem([0.0], [[1.0]])
+        cfg = SamplerConfig(n_samples=20_000, burn_in_sweeps=10, thinning=1)
+        for hi in (7.0, np.inf):
+            draws = sample_truncated(p, Rectangle([5.0], [hi]), cfg, 5)
+            assert np.all((draws > 5.0) & (draws < hi))
+            exact = truncnorm(5.0, hi).mean()
+            assert abs(draws.mean() - exact) <= 4 * batch_se(draws[:, 0]) + 1e-3
 
 
 class TestSamplerConfig:
@@ -383,12 +318,13 @@ class TestSamplerConfig:
             SamplerConfig(n_samples=0)
         with pytest.raises(ValueError):
             SamplerConfig(thinning=0)
-        with pytest.raises(ValueError):
-            SamplerConfig(cutoff_k=2.0)
-        for bad in ({"cutoff_k": math.nan}, {"cutoff_k": math.inf}, {"burn_in_sweeps": -1}):
-            key, value = next(iter(bad.items()))
-            with pytest.raises(ValueError, match=f"{key} must be .*, got {value!r}"):
-                SamplerConfig(**bad)
+        with pytest.raises(ValueError, match="burn_in_sweeps must be .*, got -1"):
+            SamplerConfig(burn_in_sweeps=-1)
+
+    def test_fields_are_the_sampling_budget(self):
+        # The seed is an argument of each sampling call, not configuration.
+        names = [f.name for f in dataclasses.fields(SamplerConfig)]
+        assert names == ["n_samples", "burn_in_sweeps", "thinning"]
 
 
 class TestMvnProblem:
