@@ -28,6 +28,7 @@ from .model import (
     FeatureStandardization,
     ModelParams,
     init_model_params,
+    joint_estimates,
     log_likelihood,
     mu_forward,
     predict_marginal,

@@ -17,7 +17,7 @@ from scipy.special import log_ndtr, ndtr
 
 from .dataio import Dataset, apply_standardization
 from .errors import DegenerateLabels, DimMismatch
-from .model import ModelParams, log_likelihood, mu_forward
+from .model import ModelParams, joint_estimates, mu_forward, sum_log_values
 from .seeding import derive_seed
 
 __all__ = ["EvalReport", "auc", "evaluate"]
@@ -29,7 +29,10 @@ class EvalReport:
 
     ``per_species_auc`` maps species name to AUC, or None when the species
     has a single class in the data (AUC undefined, reported absent rather
-    than 0.5). Log-likelihoods are totals over the dataset.
+    than 0.5). Log-likelihoods are totals over the dataset. Integrator
+    health comes from the same row estimates as ``joint_loglik``:
+    ``tol_misses`` counts rows that missed the tolerance, and
+    ``max_rel_err`` is the largest ``error_estimate / value`` of a row.
     """
 
     per_species_auc: dict
@@ -37,6 +40,8 @@ class EvalReport:
     joint_loglik: float
     independent_loglik: float
     n_obs: int
+    tol_misses: int
+    max_rel_err: float
 
     def to_text(self) -> str:
         lines = [
@@ -46,6 +51,8 @@ class EvalReport:
             f"joint_minus_independent_per_obs = "
             f"{(self.joint_loglik - self.independent_loglik) / max(self.n_obs, 1)!r}",
             f"mean_auc = {self.mean_auc!r}",
+            f"tol_misses = {self.tol_misses}",
+            f"max_rel_err = {self.max_rel_err!r}",
         ]
         for name, value in self.per_species_auc.items():
             lines.append(f"auc[{name}] = {'absent' if value is None else repr(value)}")
@@ -59,6 +66,8 @@ class EvalReport:
             writer.writerow(["joint_loglik", "", repr(self.joint_loglik)])
             writer.writerow(["independent_loglik", "", repr(self.independent_loglik)])
             writer.writerow(["mean_auc", "", repr(self.mean_auc)])
+            writer.writerow(["tol_misses", "", self.tol_misses])
+            writer.writerow(["max_rel_err", "", repr(self.max_rel_err)])
             for name, value in self.per_species_auc.items():
                 writer.writerow(["auc", name, "" if value is None else repr(value)])
 
@@ -105,7 +114,8 @@ def evaluate(
     Features are standardized with the model's stored statistics and mapped
     to latent means once. Those means give the AUC scores ``Phi(mu)`` and
     the independent log-likelihood, the closed-form probit factorization
-    under the identity correlation. Raises
+    under the identity correlation. One :func:`joint_estimates` pass gives
+    the joint log-likelihood and its integrator health. Raises
     :class:`DimMismatch` for a dataset of another schema or with no rows.
     """
     if dataset.species_names != params.species_names:
@@ -135,8 +145,12 @@ def evaluate(
         defined.append(value)
     mean_auc = float(np.mean(defined)) if defined else float("nan")
 
-    joint = log_likelihood(
+    estimates = joint_estimates(
         params, presence, std_data.features, cdf_tol, derive_seed(seed, "joint")
     )
     independent = float(np.sum(log_ndtr((2.0 * presence - 1.0) * mu)))
-    return EvalReport(per_species, mean_auc, joint, independent, len(dataset))
+    return EvalReport(
+        per_species, mean_auc, sum_log_values(estimates), independent, len(dataset),
+        tol_misses=sum(not est.tolerance_reached for est in estimates),
+        max_rel_err=max(est.error_estimate / max(est.value, 1e-300) for est in estimates),
+    )

@@ -10,8 +10,9 @@ when the model is configured without the network).
 The joint probability of a presence/absence pattern is the probability
 that a latent normal vector with mean ``mu(l)`` and the learned
 correlation matrix falls in the rectangle encoding the pattern;
-:func:`log_likelihood` sums its log over the rows of a dataset with one
-forward pass and one factorization.
+:func:`joint_estimates` integrates it for every row of a dataset with one
+forward pass and one factorization, and :func:`log_likelihood` sums the
+logs.
 
 Model-layer functions expect features already standardized with the
 model's stored per-feature statistics; ingestion and evaluation layers own
@@ -29,7 +30,7 @@ from scipy.special import ndtr
 
 from .errors import DimMismatch, ZeroColumn
 from .mlp import MlpParams, MlpTape, glorot_uniform, mlp_forward, mlp_init
-from .mvn import DEFAULT_CDF_TOL, MvnProblem, Rectangle, cdf_rectangles
+from .mvn import DEFAULT_CDF_TOL, CdfEstimate, MvnProblem, Rectangle, cdf_rectangles
 from .seeding import derive_seed
 
 log = logging.getLogger(__name__)
@@ -41,6 +42,8 @@ __all__ = [
     "sigma_from_lambda",
     "mu_forward",
     "predict_marginal",
+    "joint_estimates",
+    "sum_log_values",
     "log_likelihood",
 ]
 
@@ -240,19 +243,19 @@ def predict_marginal(params: ModelParams, l: np.ndarray) -> np.ndarray:
     return ndtr(mu)
 
 
-def log_likelihood(
+def joint_estimates(
     params: ModelParams,
     presence: np.ndarray,
     features: np.ndarray,
     tol: float = DEFAULT_CDF_TOL,
     seed: int = 0,
-) -> float:
-    """Sum of the log joint probabilities of ``(N, n)`` presence rows at
-    ``(N, m)`` standardized features, each floored at 1e-300.
+) -> list[CdfEstimate]:
+    """Integrator estimates of the joint probabilities of ``(N, n)``
+    presence rows at ``(N, m)`` standardized features.
 
     One forward pass and one factorization serve every row; row ``i``
     integrates with seed ``seed XOR i``, and a row that misses the tolerance
-    is logged and kept. Zero rows give 0.0.
+    is logged and kept.
     """
     presence = np.asarray(presence)
     features = np.asarray(features, dtype=float)
@@ -261,12 +264,33 @@ def log_likelihood(
     mu, _, _ = mu_forward(params, features)
     problem = MvnProblem(mu, sigma_from_lambda(params.Lambda_raw))
     seeds = [seed ^ i for i in range(len(mu))]
-    total = 0.0
-    for est in cdf_rectangles(problem, Rectangle.from_presence(presence), seeds, tol):
+    estimates = cdf_rectangles(problem, Rectangle.from_presence(presence), seeds, tol)
+    for est in estimates:
         if not est.tolerance_reached:
             log.warning(
                 "joint probability tolerance %g not reached (error %.2e after %d samples)",
                 tol, est.error_estimate, est.samples_used,
             )
+    return estimates
+
+
+def sum_log_values(estimates) -> float:
+    """Sum, in order, of the logs of the estimates' values, each floored at 1e-300."""
+    total = 0.0
+    for est in estimates:
         total += math.log(max(est.value, 1e-300))
     return total
+
+
+def log_likelihood(
+    params: ModelParams,
+    presence: np.ndarray,
+    features: np.ndarray,
+    tol: float = DEFAULT_CDF_TOL,
+    seed: int = 0,
+) -> float:
+    """Sum of the log joint probabilities of ``(N, n)`` presence rows at
+    ``(N, m)`` standardized features, each floored at 1e-300: the
+    :func:`sum_log_values` of :func:`joint_estimates`. Zero rows give 0.0.
+    """
+    return sum_log_values(joint_estimates(params, presence, features, tol, seed))

@@ -10,7 +10,9 @@ gradients:
   controlled error estimate, computed by the sequential-conditioning
   transform to the unit hypercube and randomized lattice integration:
   :func:`cdf_rectangle` for one problem, :func:`cdf_rectangles` for every
-  row of a batch that shares one covariance.
+  row of a batch that shares one covariance. Lattice points are made in
+  fixed-size chunks, so memory is O(chunk * n) at any point count, and an
+  infinite bound costs no ``ndtr`` call.
 - Gibbs sampling of the normal restricted to an axis-aligned rectangle,
   with numerically safe truncated univariate draws. A problem's mean and a
   rectangle's bounds may carry a leading batch axis (one covariance, many
@@ -54,8 +56,12 @@ N_RANDOMIZATIONS = 12
 #: Default relative tolerance for rectangle probabilities.
 DEFAULT_CDF_TOL = 1e-6
 
-#: Default cap on total integrand evaluations per cdf_rectangle call.
+#: Default integrand-evaluation budget per cdf_rectangle call (a budget,
+#: not a cap: the last lattice pass starts below it and may overrun it).
 DEFAULT_MAX_SAMPLES = 10_000_000
+
+#: Lattice points per chunk of an integrand pass, which bounds its memory.
+_CHUNK = 4096
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -368,104 +374,98 @@ def _ordered_cholesky(cov, lower, upper, singular_tol=1e-10):
     """Scaled, reordered Cholesky factor for the conditioning transform.
 
     Variables are permuted greedily so that the most truncating bound
-    (smallest conditional probability mass) comes first, and rows are
-    rescaled so every conditional standard deviation is 1. Handles
-    positive semidefinite covariances by zeroing exhausted pivots.
+    (smallest conditional probability mass, ties to the last candidate)
+    comes first, and rows are rescaled so every conditional standard
+    deviation is 1. Handles positive semidefinite covariances by zeroing
+    exhausted pivots. Only the lower triangle of ``cho`` is meaningful.
 
-    Returns ``(cho, lo, hi)`` in the transformed coordinates.
+    Returns ``(cho, lo, hi, perm)`` in the transformed coordinates, where
+    transformed variable ``k`` is original variable ``perm[k]``.
     """
     cho = np.array(cov, dtype=float)
-    lo = np.array(lower, dtype=float)
-    hi = np.array(upper, dtype=float)
     n = cho.shape[0]
     dc = np.sqrt(np.maximum(np.diag(cho), 0.0))
     dc[dc == 0.0] = 1.0
-    lo /= dc
-    hi /= dc
+    lo = np.asarray(lower, dtype=float) / dc
+    hi = np.asarray(upper, dtype=float) / dc
     cho /= dc
     cho /= dc[:, None]
 
+    perm = np.arange(n)
     y = np.zeros(n)
     for k in range(n):
-        epk = (k + 1) * singular_tol
-        im, ck, dem = k, 0.0, 1.0
-        lo_m = hi_m = 0.0
-        for i in range(k, n):
-            if cho[i, i] > singular_tol:
-                ci = math.sqrt(cho[i, i])
-                s = float(cho[i, :k] @ y[:k]) if k > 0 else 0.0
-                lo_i = (lo[i] - s) / ci
-                hi_i = (hi[i] - s) / ci
-                de = float(ndtr(hi_i) - ndtr(lo_i))
-                if de <= dem:
-                    ck, dem, lo_m, hi_m, im = ci, de, lo_i, hi_i, i
+        # Conditional mass of every remaining candidate given y[:k]; an
+        # exhausted pivot or a NaN mass never wins. Summing each row alike
+        # (unlike a BLAS matvec) makes exchangeable candidates tie exactly.
+        diag = np.diag(cho)[k:]
+        live = diag > singular_tol
+        ci = np.sqrt(np.where(live, diag, 1.0))
+        s = (cho[k:, :k] * y[:k]).sum(axis=1)
+        lo_c = (lo[k:] - s) / ci
+        hi_c = (hi[k:] - s) / ci
+        de = ndtr(hi_c) - ndtr(lo_c)
+        ok = live & (de <= 1.0)
+        i = n - k - 1 - int(np.argmin(np.where(ok, de, np.inf)[::-1]))
+        if not ok[i]:
+            # Pivots stay exhausted: zero what is left of the factor.
+            cho[k:, k:] = np.triu(cho[k:, k:], 1)
+            break
+        ck, dem, lo_m, hi_m, im = ci[i], de[i], lo_c[i], hi_c[i], k + i
         if im > k:
-            cho[im, im], cho[k, k] = cho[k, k], cho[im, im]
-            t = cho[im, :k].copy()
-            cho[im, :k] = cho[k, :k]
-            cho[k, :k] = t
-            t = cho[im + 1 :, im].copy()
-            cho[im + 1 :, im] = cho[im + 1 :, k]
-            cho[im + 1 :, k] = t
-            t = cho[k + 1 : im, k].copy()
-            cho[k + 1 : im, k] = cho[im, k + 1 : im]
-            cho[im, k + 1 : im] = t
-            lo[k], lo[im] = lo[im], lo[k]
-            hi[k], hi[im] = hi[im], hi[k]
-        if ck > epk:
-            cho[k, k] = ck
-            cho[k, k + 1 :] = 0.0
-            for i in range(k + 1, n):
-                cho[i, k] /= ck
-                cho[i, k + 1 : i + 1] -= cho[i, k] * cho[k + 1 : i + 1, k]
-            if abs(dem) > singular_tol:
-                el = math.exp(-0.5 * lo_m * lo_m) if np.isfinite(lo_m) else 0.0
-                eh = math.exp(-0.5 * hi_m * hi_m) if np.isfinite(hi_m) else 0.0
-                y[k] = (el - eh) / (_SQRT_TWO_PI * dem)
-            else:
-                y[k] = 0.5 * (lo_m + hi_m)
-                if lo_m < -10:
-                    y[k] = hi_m
-                elif hi_m > 10:
-                    y[k] = lo_m
-            cho[k, : k + 1] /= ck
-            lo[k] /= ck
-            hi[k] /= ck
+            # Swap variables k and im within the lower triangle.
+            cho[[k, im], [k, im]] = cho[[im, k], [im, k]]
+            cho[[k, im], :k] = cho[[im, k], :k]
+            cho[im + 1 :, [k, im]] = cho[im + 1 :, [im, k]]
+            cho[k + 1 : im, k], cho[im, k + 1 : im] = cho[im, k + 1 : im], cho[k + 1 : im, k].copy()
+            for v in (lo, hi, perm):
+                v[[k, im]] = v[[im, k]]
+        cho[k, k] = ck
+        cho[k, k + 1 :] = 0.0
+        cho[k + 1 :, k] /= ck
+        col = cho[k + 1 :, k]
+        cho[k + 1 :, k + 1 :] -= np.tril(np.outer(col, col))
+        if abs(dem) > singular_tol:
+            el = math.exp(-0.5 * lo_m * lo_m) if np.isfinite(lo_m) else 0.0
+            eh = math.exp(-0.5 * hi_m * hi_m) if np.isfinite(hi_m) else 0.0
+            y[k] = (el - eh) / (_SQRT_TWO_PI * dem)
         else:
-            cho[k:, k] = 0.0
-            y[k] = 0.5 * (lo[k] + hi[k])
-    return cho, lo, hi
+            y[k] = hi_m if lo_m < -10 else lo_m if hi_m > 10 else 0.5 * (lo_m + hi_m)
+        cho[k, : k + 1] /= ck
+        lo[k] /= ck
+        hi[k] /= ck
+    return cho, lo, hi, perm
 
 
 def _lattice_means(cho, lo, hi, n_points, shifts):
-    """Mean integrand value per randomization shift.
+    """Mean integrand value per randomization shift, and the evaluation count.
 
     ``shifts`` has shape ``(R, n-1)``; returns ``(R,)`` means of the
-    conditioned-probability integrand over the tent-transformed lattice.
+    conditioned-probability integrand over the tent-transformed lattice,
+    taken :data:`_CHUNK` points (and every shift) at a time.
     """
     n = cho.shape[0]
-    dim = n - 1
-    gen, n_points = _cbc_lattice(dim, n_points)
-    gen = np.asarray(gen)
-    k = np.arange(1, n_points + 1, dtype=float)[:, None]
-    base = (k * gen[None, :]) % 1.0  # (n_points, dim)
+    gen, n_points = _cbc_lattice(n - 1, n_points)
     r = shifts.shape[0]
-    # Tent (baker's) transform of the shifted lattice, all shifts at once.
-    w = (base[None, :, :] + shifts[:, None, :]) % 1.0
-    x = np.abs(2.0 * w - 1.0).reshape(r * n_points, dim)
-
-    c = np.full(r * n_points, ndtr(lo[0]))
-    d = np.full(r * n_points, ndtr(hi[0]))
-    pv = d - c
-    y = np.empty((dim, r * n_points))
-    for i in range(1, n):
-        u = c + x[:, i - 1] * (d - c)
-        y[i - 1] = ndtri(np.clip(u, 1e-16, 1.0 - 1e-16))
-        s = cho[i, :i] @ y[:i]
-        c = ndtr(lo[i] - s)
-        d = ndtr(hi[i] - s)
-        pv = pv * (d - c)
-    return pv.reshape(r, n_points).mean(axis=1), r * n_points
+    sums = np.zeros(r)
+    for start in range(0, n_points, _CHUNK):
+        k = np.arange(start + 1, min(start + _CHUNK, n_points) + 1, dtype=float)
+        c, d = ndtr(lo[0]), ndtr(hi[0])
+        pv = np.full(r * k.size, d - c)
+        y = np.empty((n - 1, r * k.size))
+        for i in range(1, n):
+            # Tent (baker's) transform of coordinate i-1 of the shifted
+            # lattice; the sum lies in [0, 2), where subtracting 1 (as
+            # True) is exact, so this equals ``% 1.0`` bit for bit.
+            w = (k * gen[i - 1]) % 1.0 + shifts[:, i - 1, None]
+            w -= w >= 1.0
+            u = c + np.abs(2.0 * w - 1.0).reshape(-1) * (d - c)
+            y[i - 1] = ndtri(np.clip(u, 1e-16, 1.0 - 1e-16))
+            s = cho[i, :i] @ y[:i]
+            c = 0.0 if lo[i] == -np.inf else ndtr(lo[i] - s)
+            d = 1.0 if hi[i] == np.inf else ndtr(hi[i] - s)
+            pv = pv * (d - c)
+        sums += pv.reshape(r, k.size).sum(axis=1)
+    return sums / n_points, r * n_points
 
 
 def cdf_rectangle(
@@ -482,7 +482,7 @@ def cdf_rectangle(
     randomly shifted rank-1 lattice under the tent transform, using
     :data:`N_RANDOMIZATIONS` independent shifts. The point count doubles
     until ``error_estimate <= tol * max(value, 1e-300)`` or the sample
-    budget is exhausted, in which case the estimate is returned with
+    budget is spent, in which case the estimate is returned with
     ``tolerance_reached=False``.
 
     Parameters
@@ -494,7 +494,8 @@ def cdf_rectangle(
     tol:
         Relative tolerance on the probability.
     max_samples:
-        Cap on total integrand evaluations.
+        Evaluation budget. A pass starts only while fewer evaluations have
+        been used, so the last pass may take the total to nearly twice it.
     seed:
         Seed for the randomization shifts; fixed seed gives a fixed result.
     """
@@ -510,7 +511,7 @@ def cdf_rectangle(
         value = float(ndtr(hi[0] / sd) - ndtr(lo[0] / sd))
         return CdfEstimate(value, 1e-15, 0, True)
 
-    cho, tlo, thi = _ordered_cholesky(problem.cov, lo, hi)
+    cho, tlo, thi, _ = _ordered_cholesky(problem.cov, lo, hi)
     rng = np.random.default_rng(seed)
     n_points = 256
     value, err = 0.0, math.inf
@@ -521,9 +522,7 @@ def cdf_rectangle(
         used += n_eval
         vi = float(means.mean())
         ei = 3.0 * float(means.std(ddof=1)) / math.sqrt(N_RANDOMIZATIONS)
-        if not math.isfinite(err):
-            value, err = vi, ei
-        elif ei > 0.0:
+        if math.isfinite(err) and ei > 0.0:
             # Inverse-variance combination with earlier stages.
             wt = 1.0 / (1.0 + (ei / err) ** 2) if err > 0.0 else 1.0
             value += wt * (vi - value)

@@ -5,6 +5,12 @@ sampling paths: probabilities come from dense tensor-product quadrature of
 the closed-form density or from brute-force rejection sampling, and
 gradients come from central finite differences. The oracles are themselves
 cross-checked against closed forms in test_oracles.py.
+
+Two are reference copies of the integrator's earlier, unvectorized
+internals, which pin the vectorized ones bit for bit:
+:func:`ordered_cholesky_loop` (the per-candidate, per-row loop of the
+variable ordering) and :func:`lattice_means_dense` (the lattice pass with
+every point of every shift materialized at once).
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import itertools
 import math
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 
 def bvn_orthant(rho: float) -> float:
@@ -106,3 +112,101 @@ def batch_se(values: np.ndarray, n_batches: int = 32) -> np.ndarray:
     batches = values[:usable].reshape(n_batches, usable // n_batches, *values.shape[1:])
     means = batches.mean(axis=1)
     return means.std(axis=0, ddof=1) / math.sqrt(n_batches)
+
+
+def ordered_cholesky_loop(cov, lower, upper, singular_tol=1e-10):
+    """Reference ordering: ``(cho, lo, hi, perm)`` by explicit Python loops.
+
+    Greedy Genz ordering with the ``<=`` tie rule (the last candidate of
+    smallest conditional mass wins) and a row-by-row Schur update.
+    """
+    cho = np.array(cov, dtype=float)
+    lo = np.array(lower, dtype=float)
+    hi = np.array(upper, dtype=float)
+    n = cho.shape[0]
+    dc = np.sqrt(np.maximum(np.diag(cho), 0.0))
+    dc[dc == 0.0] = 1.0
+    lo /= dc
+    hi /= dc
+    cho /= dc
+    cho /= dc[:, None]
+
+    perm = np.arange(n)
+    y = np.zeros(n)
+    for k in range(n):
+        epk = (k + 1) * singular_tol
+        im, ck, dem = k, 0.0, 1.0
+        lo_m = hi_m = 0.0
+        for i in range(k, n):
+            if cho[i, i] > singular_tol:
+                ci = math.sqrt(cho[i, i])
+                s = float(cho[i, :k] @ y[:k]) if k > 0 else 0.0
+                lo_i = (lo[i] - s) / ci
+                hi_i = (hi[i] - s) / ci
+                de = float(ndtr(hi_i) - ndtr(lo_i))
+                if de <= dem:
+                    ck, dem, lo_m, hi_m, im = ci, de, lo_i, hi_i, i
+        if im > k:
+            cho[im, im], cho[k, k] = cho[k, k], cho[im, im]
+            t = cho[im, :k].copy()
+            cho[im, :k] = cho[k, :k]
+            cho[k, :k] = t
+            t = cho[im + 1 :, im].copy()
+            cho[im + 1 :, im] = cho[im + 1 :, k]
+            cho[im + 1 :, k] = t
+            t = cho[k + 1 : im, k].copy()
+            cho[k + 1 : im, k] = cho[im, k + 1 : im]
+            cho[im, k + 1 : im] = t
+            lo[k], lo[im] = lo[im], lo[k]
+            hi[k], hi[im] = hi[im], hi[k]
+            perm[k], perm[im] = perm[im], perm[k]
+        if ck > epk:
+            cho[k, k] = ck
+            cho[k, k + 1 :] = 0.0
+            for i in range(k + 1, n):
+                cho[i, k] /= ck
+                cho[i, k + 1 : i + 1] -= cho[i, k] * cho[k + 1 : i + 1, k]
+            if abs(dem) > singular_tol:
+                el = math.exp(-0.5 * lo_m * lo_m) if np.isfinite(lo_m) else 0.0
+                eh = math.exp(-0.5 * hi_m * hi_m) if np.isfinite(hi_m) else 0.0
+                y[k] = (el - eh) / (math.sqrt(2.0 * math.pi) * dem)
+            else:
+                y[k] = 0.5 * (lo_m + hi_m)
+                if lo_m < -10:
+                    y[k] = hi_m
+                elif hi_m > 10:
+                    y[k] = lo_m
+            cho[k, : k + 1] /= ck
+            lo[k] /= ck
+            hi[k] /= ck
+        else:
+            cho[k:, k] = 0.0
+            y[k] = 0.5 * (lo[k] + hi[k])
+    return cho, lo, hi, perm
+
+
+def lattice_means_dense(cho, lo, hi, gen, n_points, shifts):
+    """Reference lattice pass: ``(R,)`` shift means over all points at once.
+
+    ``gen`` is the lattice generator for exactly ``n_points`` points; every
+    bound goes through ``ndtr``, infinite or not.
+    """
+    n = cho.shape[0]
+    dim = n - 1
+    k = np.arange(1, n_points + 1, dtype=float)[:, None]
+    base = (k * np.asarray(gen)[None, :]) % 1.0
+    r = shifts.shape[0]
+    w = (base[None, :, :] + shifts[:, None, :]) % 1.0
+    x = np.abs(2.0 * w - 1.0).reshape(r * n_points, dim)
+    c = np.full(r * n_points, ndtr(lo[0]))
+    d = np.full(r * n_points, ndtr(hi[0]))
+    pv = d - c
+    y = np.empty((dim, r * n_points))
+    for i in range(1, n):
+        u = c + x[:, i - 1] * (d - c)
+        y[i - 1] = ndtri(np.clip(u, 1e-16, 1.0 - 1e-16))
+        s = cho[i, :i] @ y[:i]
+        c = ndtr(lo[i] - s)
+        d = ndtr(hi[i] - s)
+        pv = pv * (d - c)
+    return pv.reshape(r, n_points).mean(axis=1)

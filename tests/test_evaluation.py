@@ -1,13 +1,17 @@
 """Tests for AUC and the model evaluation report."""
 
+import logging
+
 import numpy as np
 import pytest
 from scipy.special import log_ndtr
 
+from dmse import model, mvn
 from dmse.dataio import Dataset
 from dmse.errors import DegenerateLabels, DimMismatch
 from dmse.evaluation import auc, evaluate
-from dmse.model import FeatureStandardization, ModelParams
+from dmse.model import FeatureStandardization, ModelParams, joint_estimates, log_likelihood
+from dmse.seeding import derive_seed
 
 
 def truth_model(coef, sigma, d2_pad=0):
@@ -170,8 +174,48 @@ class TestEvaluate:
         report = evaluate(params, data, cdf_tol=1e-4, seed=24)
         text = report.to_text()
         assert "joint_loglik" in text and "mean_auc" in text
+        assert f"tol_misses = {report.tol_misses}\n" in text
+        assert f"max_rel_err = {report.max_rel_err!r}\n" in text
         path = tmp_path / "report.csv"
         report.write_csv(path)
         rows = path.read_text().splitlines()
         assert rows[0] == "metric,species,value"
         assert any(row.startswith("auc,s0,") for row in rows)
+        assert f"tol_misses,,{report.tol_misses}" in rows
+        assert f"max_rel_err,,{report.max_rel_err!r}" in rows
+
+
+class TestIntegratorHealth:
+    """``tol_misses`` and ``max_rel_err`` come from the joint-likelihood pass."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(30)
+        sigma = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.4], [0.2, 0.4, 1.0]])
+        coef = rng.normal(size=(3, 2))
+        self.params = truth_model(coef, sigma)
+        self.data = generate(coef, sigma, 12, seed=31)
+
+    def test_within_tolerance(self):
+        report = evaluate(self.params, self.data, cdf_tol=1e-4, seed=32)
+        ests = joint_estimates(self.params, self.data.presence, self.data.features,
+                               1e-4, derive_seed(32, "joint"))
+        assert report.tol_misses == 0
+        assert report.max_rel_err == max(e.error_estimate / e.value for e in ests)
+        assert 0.0 < report.max_rel_err <= 1e-4
+        assert report.joint_loglik == log_likelihood(
+            self.params, self.data.presence, self.data.features, 1e-4, derive_seed(32, "joint")
+        )
+
+    def test_misses_counted_and_logged(self, monkeypatch, caplog):
+        # One lattice pass per row, at a tolerance no pass can reach.
+        def one_pass(problem, rect, seeds, tol):
+            return mvn.cdf_rectangles(problem, rect, seeds, tol, max_samples=1)
+
+        monkeypatch.setattr(model, "cdf_rectangles", one_pass)
+        with caplog.at_level(logging.WARNING, logger="dmse.model"):
+            report = evaluate(self.params, self.data, cdf_tol=1e-12, seed=33)
+        assert report.tol_misses == len(self.data) == len(caplog.records)
+        ests = joint_estimates(self.params, self.data.presence, self.data.features,
+                               1e-12, derive_seed(33, "joint"))
+        assert report.max_rel_err == max(e.error_estimate / e.value for e in ests)
+        assert report.max_rel_err > 1e-12

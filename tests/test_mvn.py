@@ -2,12 +2,16 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dmse.errors import DimMismatch, NotPositiveDefinite
+from dmse.model import sigma_from_lambda
 from dmse.mvn import (
+    _CHUNK,
+    N_RANDOMIZATIONS,
     MvnProblem,
     Rectangle,
     SamplerConfig,
@@ -17,10 +21,15 @@ from dmse.mvn import (
     mvn_logpdf,
     mvn_pdf,
     sample_truncated,
+    _cbc_lattice,
+    _lattice_means,
+    _ordered_cholesky,
 )
 from oracles import (
     batch_se,
     bvn_orthant,
+    lattice_means_dense,
+    ordered_cholesky_loop,
     quadrature_rectangle,
     random_correlation,
     rejection_truncated,
@@ -185,10 +194,118 @@ class TestCdfRectangle:
         assert not est.tolerance_reached
         assert est.samples_used >= 5000
 
+    @pytest.mark.parametrize("budget", [3084, 3085, 45_912, 50_000])
+    def test_budget_is_checked_between_passes(self, budget):
+        """``max_samples`` is a budget, not a cap: a pass starts only while
+        fewer evaluations have been used, so the final pass starts below
+        the budget and may overrun it."""
+        p = MvnProblem([0.3, -0.2, 0.1], random_correlation(np.random.default_rng(31), 3))
+        est = cdf_rectangle(p, Rectangle.from_presence([1, 0, 1]), tol=0.0,
+                            max_samples=budget, seed=3)
+        used, n_points = 0, 256
+        while used < budget:
+            last = N_RANDOMIZATIONS * _cbc_lattice(2, n_points)[1]
+            used += last
+            n_points *= 2
+        assert not est.tolerance_reached
+        assert est.samples_used == used
+        assert est.samples_used - last < budget <= est.samples_used
+        if budget == 50_000:
+            assert est.samples_used > 1.9 * budget
+
     def test_dim_mismatch(self):
         p = MvnProblem([0.0, 0.0], np.eye(2))
         with pytest.raises(DimMismatch):
             cdf_rectangle(p, Rectangle.from_presence([1, 1, 1]))
+
+
+def _covariance(kind, n, rng):
+    if kind == "equicorrelated":
+        return np.full((n, n), 0.3) + 0.7 * np.eye(n)
+    if kind == "negative":
+        rho = -0.5 / (n - 1)
+        return np.full((n, n), rho) + (1.0 - rho) * np.eye(n)
+    if kind == "random_spd":  # no unit diagonal, so the rescaling matters
+        a = rng.normal(size=(n, n))
+        return a @ a.T / n + 0.1 * np.eye(n)
+    # Rank-deficient: d2 < n interaction rows, as sigma_from_lambda builds.
+    return sigma_from_lambda(rng.normal(size=(max(1, n // 4), n)))
+
+
+def _bounds(n, rng, cov):
+    """Bounds around a latent draw: an all-present orthant at mean 0 (exact
+    ties), a presence pattern, both ends finite, and mixed ends."""
+    mean = rng.normal(size=n)
+    x = mean + np.linalg.cholesky(cov + 1e-9 * np.eye(n)) @ rng.normal(size=n)
+    bits = x > 0
+    lo_f = x - rng.uniform(0.5, 2.0, n)
+    hi_f = x + rng.uniform(0.5, 2.0, n)
+    one_sided = rng.random(n) < 0.5
+    return {
+        "ties": (np.zeros(n), np.full(n, np.inf)),
+        "presence": (np.where(bits, 0.0, -np.inf) - mean, np.where(bits, np.inf, 0.0) - mean),
+        "finite": (lo_f - mean, hi_f - mean),
+        "mixed": (np.where(one_sided & ~bits, -np.inf, lo_f) - mean,
+                  np.where(one_sided & bits, np.inf, hi_f) - mean),
+    }
+
+
+class TestOrderedCholesky:
+    """The vectorized ordering against the reference per-candidate loop."""
+
+    @pytest.mark.parametrize("n", [2, 5, 20, 100])
+    @pytest.mark.parametrize("kind", ["equicorrelated", "negative", "random_spd", "rank_deficient"])
+    def test_matches_loop(self, kind, n):
+        rng = np.random.default_rng(n)
+        cov = _covariance(kind, n, rng)
+        for name, (lo, hi) in _bounds(n, rng, cov).items():
+            got = _ordered_cholesky(cov, lo, hi)
+            want = ordered_cholesky_loop(cov, lo, hi)
+            for part, a, b in zip(("cho", "lo", "hi", "perm"), got, want):
+                np.testing.assert_array_equal(a, b, err_msg=f"{name}: {part}")
+            assert sorted(got[3]) == list(range(n))
+            if kind == "rank_deficient":
+                # Only d2 pivots survive; the rest are zeroed as exhausted.
+                assert np.count_nonzero(np.diag(got[0])) == max(1, n // 4)
+
+
+class TestLatticeMeans:
+    """The chunked lattice pass against the reference all-points pass."""
+
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    @pytest.mark.parametrize("name", ["presence", "finite", "mixed"])
+    def test_matches_dense_pass(self, name, n):
+        rng = np.random.default_rng(50 + n)
+        cov = random_correlation(rng, n)
+        cho, lo, hi, _ = _ordered_cholesky(cov, *_bounds(n, rng, cov)[name])
+        for n_points in (256, _CHUNK, 5 * _CHUNK):
+            shifts = rng.random((N_RANDOMIZATIONS, n - 1))
+            gen, size = _cbc_lattice(n - 1, n_points)
+            got, evals = _lattice_means(cho, lo, hi, n_points, shifts)
+            want = lattice_means_dense(cho, lo, hi, gen, size, shifts)
+            assert evals == N_RANDOMIZATIONS * size
+            if size <= _CHUNK:  # one chunk: the same operations, bit for bit
+                np.testing.assert_array_equal(got, want)
+            else:  # chunk sums change only the order of the final sum
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_peak_memory_is_bounded(self):
+        """About 800k evaluations at n=20 hold under 32 MiB of numpy arrays;
+        materializing every point of a pass took about 200 MiB."""
+        rng = np.random.default_rng(11)
+        n = 20
+        cov = sigma_from_lambda(rng.normal(size=(5, n)))
+        p = MvnProblem(rng.normal(size=n), cov)
+        x = p.mean + np.linalg.cholesky(cov + 1e-9 * np.eye(n)) @ rng.normal(size=n)
+        rect = Rectangle.from_presence((x > 0).astype(int))
+        tracemalloc.start()
+        try:
+            est = cdf_rectangle(p, rect, tol=0.0, max_samples=400_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.samples_used > 750_000 and est.value > 0.0
+        assert peak < 32 * 2**20
 
 
 class TestCdfRectangles:
