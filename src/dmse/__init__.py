@@ -31,7 +31,6 @@ from .model import (
     joint_estimates,
     log_likelihood,
     mu_forward,
-    predict_marginal,
     sigma_from_lambda,
 )
 from .mvn import (
@@ -42,8 +41,6 @@ from .mvn import (
     cdf_rectangle,
     cdf_rectangles,
     cholesky,
-    mvn_logpdf,
-    mvn_pdf,
     sample_truncated,
 )
 from .training import AdagradState, TrainConfig, TrainingLog, adagrad_step, kfold_split, train

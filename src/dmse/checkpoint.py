@@ -132,6 +132,9 @@ def load_checkpoint(path) -> ModelParams:
     if version != FORMAT_VERSION:
         raise CorruptCheckpoint(f"unsupported format version {version}")
     n, m, d1, d2, n_output = r.unpack("<5I")
+    # No model that init_model_params or mlp_init built has a dim below 1.
+    if min(n, m, d1, d2, n_output) < 1:
+        raise CorruptCheckpoint(f"header dims must be >= 1, got {(n, m, d1, d2, n_output)}")
     (n_layer_dims,) = r.unpack("<H")
     layer_dims = r.unpack(f"<{n_layer_dims}I") if n_layer_dims else ()
     species_names = [r.name() for _ in range(n)]
@@ -143,6 +146,10 @@ def load_checkpoint(path) -> ModelParams:
     lam = r.tensor((d2, n))
     w = r.tensor((d1, n_output))
     if layer_dims:
+        if len(layer_dims) < 2 or min(layer_dims) < 1:
+            raise CorruptCheckpoint(
+                f"layer dims must be >= 1 with at least two layers, got {layer_dims}"
+            )
         if layer_dims[0] != m or layer_dims[-1] != n_output:
             raise CorruptCheckpoint("layer dims inconsistent with header dims")
         weights, biases = [], []

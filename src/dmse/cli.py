@@ -178,11 +178,6 @@ def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.set)
     if args.seed is not None:
         cfg = replace(cfg, seed=derive_seed(args.seed, "train"))
-    if args.patience is not None:
-        try:
-            cfg = replace(cfg, patience=args.patience)
-        except ValueError as exc:
-            raise ConfigError(f"--patience: {exc}") from exc
     dataset = dataio.load_csv(args.data)
     init_seed = derive_seed(args.seed if args.seed is not None else cfg.seed, "init")
     log_path = args.out + ".log"
@@ -387,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--patience", type=int,
-                   help="stop after this many stale validation evaluations (off by default)")
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.set_defaults(func=cmd_train)
 

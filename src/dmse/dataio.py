@@ -34,6 +34,7 @@ __all__ = [
     "SynthSpec",
     "GroundTruth",
     "load_csv",
+    "load_features_csv",
     "save_csv",
     "standardize",
     "apply_standardization",
@@ -104,7 +105,7 @@ class Dataset:
         )
 
 
-def _read_checklist(path, species_prefix, feature_prefix, with_presence):
+def _read_checklist(path, with_presence):
     """Header-checked, cell-validated rows of a checklist CSV.
 
     Returns ``(presence, features, species_names, feature_names)`` with
@@ -121,14 +122,14 @@ def _read_checklist(path, species_prefix, feature_prefix, with_presence):
             raise MalformedHeader("empty file") from None
         sp_cols, env_cols = [], []
         for idx, name in enumerate(header):
-            if name.startswith(species_prefix):
-                sp_cols.append((idx, name[len(species_prefix):]))
-            elif name.startswith(feature_prefix):
-                env_cols.append((idx, name[len(feature_prefix):]))
+            if name.startswith(SPECIES_PREFIX):
+                sp_cols.append((idx, name[len(SPECIES_PREFIX):]))
+            elif name.startswith(FEATURE_PREFIX):
+                env_cols.append((idx, name[len(FEATURE_PREFIX):]))
             else:
                 raise MalformedHeader(
-                    f"column {name!r} has neither the {species_prefix!r} "
-                    f"nor the {feature_prefix!r} prefix"
+                    f"column {name!r} has neither the {SPECIES_PREFIX!r} "
+                    f"nor the {FEATURE_PREFIX!r} prefix"
                 )
         if with_presence and not sp_cols:
             raise MalformedHeader("no species columns")
@@ -146,16 +147,16 @@ def _read_checklist(path, species_prefix, feature_prefix, with_presence):
                 )
             for idx, name in sp_cols:
                 if row[idx].strip() not in ("0", "1"):
-                    raise NonBinaryPresence(row_no, species_prefix + name, row[idx])
+                    raise NonBinaryPresence(row_no, SPECIES_PREFIX + name, row[idx])
             bit_rows.append([int(row[idx]) for idx, _ in sp_cols])
             l = []
             for idx, name in env_cols:
                 try:
                     v = float(row[idx])
                 except ValueError:
-                    raise NonFiniteFeature(row_no, feature_prefix + name, row[idx]) from None
+                    raise NonFiniteFeature(row_no, FEATURE_PREFIX + name, row[idx]) from None
                 if not math.isfinite(v):
-                    raise NonFiniteFeature(row_no, feature_prefix + name, row[idx])
+                    raise NonFiniteFeature(row_no, FEATURE_PREFIX + name, row[idx])
                 l.append(v)
             feature_rows.append(l)
     n_rows = len(feature_rows)
@@ -164,28 +165,27 @@ def _read_checklist(path, species_prefix, feature_prefix, with_presence):
     return presence, features, [name for _, name in sp_cols], [name for _, name in env_cols]
 
 
-def load_csv(
-    path,
-    species_prefix: str = SPECIES_PREFIX,
-    feature_prefix: str = FEATURE_PREFIX,
-) -> Dataset:
+def load_csv(path) -> Dataset:
     """Parse a checklist CSV, validating every cell.
 
-    Raises :class:`MalformedHeader` for columns outside the contract,
-    :class:`MalformedRow` for a row of the wrong length, and
-    :class:`NonBinaryPresence` / :class:`NonFiniteFeature` naming the
-    offending row (1-based, counting the header as row 1) and column.
+    Every column is ``sp:<name>`` (0/1 presence) or ``env:<name>`` (finite
+    feature), with at least one of each. Raises :class:`MalformedHeader`
+    for columns outside the contract, :class:`MalformedRow` for a row of
+    the wrong length, and :class:`NonBinaryPresence` /
+    :class:`NonFiniteFeature` naming the offending row (1-based, counting
+    the header as row 1) and column.
     """
-    return Dataset(*_read_checklist(path, species_prefix, feature_prefix, True))
+    return Dataset(*_read_checklist(path, True))
 
 
-def load_features_csv(path, feature_prefix: str = FEATURE_PREFIX) -> tuple[list[str], np.ndarray]:
+def load_features_csv(path) -> tuple[list[str], np.ndarray]:
     """Parse a feature-only CSV for prediction.
 
     ``env:`` columns are required; ``sp:`` columns, if present, are
-    ignored. Returns the feature names and an ``(N, m)`` matrix.
+    ignored, and any other column raises :class:`MalformedHeader`, as in
+    :func:`load_csv`. Returns the feature names and an ``(N, m)`` matrix.
     """
-    _, features, _, names = _read_checklist(path, SPECIES_PREFIX, feature_prefix, False)
+    _, features, _, names = _read_checklist(path, False)
     return names, features
 
 

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DimMismatch, ZeroColumn
 from .mlp import MlpParams, MlpTape, glorot_uniform, mlp_forward, mlp_init
@@ -41,7 +40,6 @@ __all__ = [
     "init_model_params",
     "sigma_from_lambda",
     "mu_forward",
-    "predict_marginal",
     "joint_estimates",
     "sum_log_values",
     "log_likelihood",
@@ -229,18 +227,6 @@ def mu_forward(
         out, tape = mlp_forward(params.mlp, l)
     h = out @ params.W.T
     return h @ params.S, tape, h
-
-
-def predict_marginal(params: ModelParams, l: np.ndarray) -> np.ndarray:
-    """Per-species presence probabilities ``Phi(mu_j)`` for standardized ``l``.
-
-    ``l`` may be one feature vector or a batch ``(B, m)``.
-
-    Marginals depend only on the habitat side of the model; the interaction
-    embeddings never enter.
-    """
-    mu, _, _ = mu_forward(params, l)
-    return ndtr(mu)
 
 
 def joint_estimates(

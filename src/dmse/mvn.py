@@ -4,8 +4,8 @@ This module provides the numerical core used by the likelihood and its
 gradients:
 
 - Cholesky factorization with a single-jitter retry for positive
-  semidefinite matrices that are numerically rank-deficient.
-- Density and log-density evaluation.
+  semidefinite matrices that are numerically rank-deficient; a problem
+  keeps the precision matrix the sampler conditions with.
 - Rectangle (orthant) probabilities ``Pr(lower <= X <= upper)`` with a
   controlled error estimate, computed by the sequential-conditioning
   transform to the unit hypercube and randomized lattice integration:
@@ -19,7 +19,7 @@ gradients:
   means), which the sampler advances together.
 
 All operations are pure given their inputs plus an explicit seed; values
-are immutable, and the Cholesky factor is computed at construction time
+are immutable, and the precision matrix is computed at construction time
 (no interior mutation afterwards).
 """
 
@@ -43,8 +43,6 @@ __all__ = [
     "CdfEstimate",
     "SamplerConfig",
     "cholesky",
-    "mvn_pdf",
-    "mvn_logpdf",
     "cdf_rectangle",
     "cdf_rectangles",
     "sample_truncated",
@@ -131,20 +129,19 @@ class Rectangle:
 
 @dataclass(frozen=True)
 class MvnProblem:
-    """A normal distribution ``N(mean, cov)`` with cached factorization.
+    """A normal distribution ``N(mean, cov)`` with a cached precision matrix.
 
-    The Cholesky factor and precision matrix are computed at construction
-    (one jitter retry, see :func:`cholesky`) and cannot be passed in.
-    Problems sharing one covariance reuse the factorization through
+    Construction checks that ``cov`` is square and symmetric, factorizes it
+    with :func:`cholesky` (one jitter retry; :class:`NotPositiveDefinite`
+    if that fails), and keeps the inverse as ``precision``, which cannot be
+    passed in. Problems sharing one covariance reuse it through
     :meth:`with_mean`. A mean of shape ``(B, n)`` makes a batch of ``B``
     problems with one covariance.
     """
 
     mean: np.ndarray
     cov: np.ndarray
-    chol: np.ndarray = field(init=False, repr=False)
     precision: np.ndarray = field(init=False, repr=False)
-    jitter_applied: bool = field(init=False)
 
     def __post_init__(self):
         cov = np.asarray(self.cov, dtype=float)
@@ -156,19 +153,17 @@ class MvnProblem:
         if np.abs(cov - cov.T).max() > 1e-12 * scale:
             raise ValueError("covariance must be symmetric within 1e-12 relative")
         object.__setattr__(self, "cov", cov)
-        chol, jit = cholesky(cov)
+        chol, _ = cholesky(cov)
         try:
             inv_l = solve_triangular(chol, np.eye(n), lower=True)
         except Exception as exc:  # pragma: no cover - scipy raises rarely here
             raise SingularCovariance(str(exc)) from exc
         if not np.all(np.isfinite(inv_l)):
             raise SingularCovariance("covariance not invertible after jitter")
-        object.__setattr__(self, "chol", chol)
         object.__setattr__(self, "precision", inv_l.T @ inv_l)
-        object.__setattr__(self, "jitter_applied", jit)
 
     def with_mean(self, mean) -> "MvnProblem":
-        """The same covariance and factorization around another mean."""
+        """The same covariance and precision around another mean."""
         out = copy.copy(self)
         object.__setattr__(out, "mean", _checked_mean(mean, self.dim))
         return out
@@ -176,10 +171,6 @@ class MvnProblem:
     @property
     def dim(self) -> int:
         return self.mean.shape[-1]
-
-    @property
-    def log_det_cov(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
 
 @dataclass(frozen=True)
@@ -228,7 +219,7 @@ class SamplerConfig:
 
 
 # ---------------------------------------------------------------------------
-# Factorization and densities
+# Factorization
 # ---------------------------------------------------------------------------
 
 
@@ -273,26 +264,6 @@ def _batch_shape(problem: MvnProblem, rect: Rectangle) -> tuple[int, ...]:
         raise DimMismatch(
             f"batch shapes differ: mean {problem.mean.shape}, bounds {rect.lower.shape}"
         ) from None
-
-
-def mvn_logpdf(problem: MvnProblem, x: np.ndarray) -> float:
-    """Log-density of ``problem`` at ``x``."""
-    if problem.mean.ndim != 1:
-        raise DimMismatch("log-density takes a single problem, not a batch")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != problem.dim:
-        raise DimMismatch(f"point has dim {x.shape[0]}, problem has {problem.dim}")
-    z = solve_triangular(problem.chol, x - problem.mean, lower=True)
-    return float(
-        -0.5 * problem.dim * math.log(2.0 * math.pi)
-        - 0.5 * problem.log_det_cov
-        - 0.5 * (z @ z)
-    )
-
-
-def mvn_pdf(problem: MvnProblem, x: np.ndarray) -> float:
-    """Density of ``problem`` at ``x``."""
-    return math.exp(mvn_logpdf(problem, x))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ assembly. The correlation matrix, its factor, and its inverse are computed
 once per step since they do not depend on the features.
 
 Each step also logs a cheap estimate of the minibatch log-likelihood (one
-lattice pass per observation) together with its relative error.
+lattice pass per observation) together with its relative error. Every
+epoch runs; held-out data is scored by :func:`dmse.evaluation.evaluate`.
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import Dataset, apply_standardization, standardize
+from .dataio import Dataset, standardize
 from .errors import ConfigError, InvalidK, NonFiniteGradient
 from .gradients import GradientBundle, assemble_bundle, grad_mu_sigma
 from .mlp import DEFAULT_HIDDEN_DIMS, MlpGrads
 from .model import (
     ModelParams,
     init_model_params,
-    log_likelihood,
     mu_forward,
     sigma_from_lambda,
     _reperturb_zero_columns,
@@ -56,11 +56,12 @@ LOGLIK_MAX_SAMPLES = N_RANDOMIZATIONS * 257
 class TrainConfig:
     """Hyperparameters of one training run.
 
-    ``cdf_tol`` is the tolerance of the log-likelihood estimates: the
-    validation evaluations and the per-step logged estimate, which is
-    capped at one lattice pass (:data:`LOGLIK_MAX_SAMPLES`). Gradient
-    estimation never integrates. ``hidden_dims=()`` trains the model
-    without the network (projection of raw features only).
+    ``cdf_tol`` changes no output of :func:`train`: the per-step logged
+    estimate is always one lattice pass (:data:`LOGLIK_MAX_SAMPLES`), so
+    the tolerance only decides whether that pass counts as a miss, and
+    gradient estimation never integrates. ``dmse cv`` evaluates each fold
+    at this tolerance. ``hidden_dims=()`` trains the model without the
+    network (projection of raw features only).
     """
 
     learning_rate: float = 0.05
@@ -70,11 +71,9 @@ class TrainConfig:
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     cdf_tol: float = 1e-3
     seed: int = 0
-    eval_every: int = 100
     d1: int = 100
     d2: int = 100
     hidden_dims: tuple[int, ...] = DEFAULT_HIDDEN_DIMS
-    patience: int = 0
 
     def __post_init__(self):
         for key, ok, need in (
@@ -83,10 +82,8 @@ class TrainConfig:
             ("cdf_tol", 0 < self.cdf_tol < math.inf, "finite and > 0"),
             ("minibatch_size", self.minibatch_size >= 1, ">= 1"),
             ("epochs", self.epochs >= 0, ">= 0"),
-            ("eval_every", self.eval_every >= 1, ">= 1"),
             ("d1", self.d1 >= 1, ">= 1"),
             ("d2", self.d2 >= 1, ">= 1"),
-            ("patience", self.patience >= 0, ">= 0"),
             ("hidden_dims", all(d >= 1 for d in self.hidden_dims or ()), "empty or all >= 1"),
         ):
             if not ok:
@@ -116,25 +113,17 @@ class AdagradState:
 
 @dataclass
 class TrainingLog:
-    """Step and evaluation records of one run.
+    """Step records of one run.
 
-    Step records hold: step, epoch, minibatch mean log-likelihood estimate
-    and its mean relative error, mean gradient standard error, wall time,
-    and skip flag. Records are plain dicts so they stream as line-delimited
-    JSON.
+    Each holds: step, epoch, minibatch mean log-likelihood estimate and its
+    mean relative error, mean gradient standard error, wall time, and skip
+    flag. Records are plain dicts so they stream as line-delimited JSON.
     """
 
     steps: list[dict] = field(default_factory=list)
-    evals: list[dict] = field(default_factory=list)
-    skipped_steps: int = 0
 
     def record_step(self, rec: dict, sink=None) -> None:
         self.steps.append(rec)
-        if sink is not None:
-            sink(rec)
-
-    def record_eval(self, rec: dict, sink=None) -> None:
-        self.evals.append(rec)
         if sink is not None:
             sink(rec)
 
@@ -200,15 +189,14 @@ def train(
     dataset: Dataset,
     cfg: TrainConfig,
     init_seed: int = 0,
-    validation: Dataset | None = None,
     log_sink=None,
 ) -> tuple[ModelParams, TrainingLog]:
     """Maximize the dataset log-likelihood from a seeded initialization.
 
     The dataset is standardized internally and the statistics are stored in
-    the returned parameters; ``validation`` (raw features, same schema) is
-    evaluated every ``cfg.eval_every`` steps with the same statistics. The
-    whole run is deterministic given ``cfg.seed`` and ``init_seed``.
+    the returned parameters. Every one of ``cfg.epochs`` epochs runs, and
+    each step's record goes to ``log_sink`` as it is made. The whole run is
+    deterministic given ``cfg.seed`` and ``init_seed``.
 
     Aborts (raising :class:`NonFiniteGradient`) only if more than half the
     steps of an epoch were skipped for non-finite gradients. Raises
@@ -240,18 +228,12 @@ def train(
     )
     state = AdagradState.zeros_like(params)
     tlog = TrainingLog()
-    val_std = None
-    if validation is not None:
-        val_std = apply_standardization(validation, stats)
 
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
     sampler_base = derive_seed(cfg.seed, "sampler")
-    eval_seed = derive_seed(cfg.seed, "eval")
     presence, features = std_data.presence, std_data.features
     t0 = time.monotonic()
     step = 0
-    best_val = -np.inf
-    stale_evals = 0
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(n_obs)
         skipped_this_epoch = 0
@@ -271,7 +253,6 @@ def train(
             except NonFiniteGradient:
                 skipped = True
                 skipped_this_epoch += 1
-                tlog.skipped_steps += 1
                 log.warning("step %d skipped: non-finite gradient", step)
             tlog.record_step(
                 {
@@ -285,22 +266,6 @@ def train(
                 },
                 log_sink,
             )
-            if val_std is not None and step % cfg.eval_every == 0:
-                val_ll = log_likelihood(
-                    params, val_std.presence, val_std.features, cfg.cdf_tol, eval_seed
-                ) / len(val_std)
-                tlog.record_eval(
-                    {"step": step, "epoch": epoch, "validation_loglik": val_ll},
-                    log_sink,
-                )
-                if cfg.patience > 0:
-                    if val_ll > best_val:
-                        best_val, stale_evals = val_ll, 0
-                    else:
-                        stale_evals += 1
-                        if stale_evals >= cfg.patience:
-                            log.info("early stop after %d stale evaluations", stale_evals)
-                            return params, tlog
         if steps_this_epoch > 0 and skipped_this_epoch > steps_this_epoch / 2:
             raise NonFiniteGradient(
                 f"{skipped_this_epoch}/{steps_this_epoch} steps skipped in epoch {epoch}"

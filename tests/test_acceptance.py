@@ -319,7 +319,6 @@ RECOVERY_CFG = dict(
     minibatch_size=64,
     epochs=5,
     cdf_tol=1e-2,
-    eval_every=10_000,
     d1=8,
     d2=8,
     hidden_dims=(16, 16, 8),
@@ -395,7 +394,7 @@ def test_08_deep_beats_linear_on_radial_signal():
     base = dict(
         learning_rate=0.1, minibatch_size=64, epochs=6,
         sampler=SamplerConfig(n_samples=32, burn_in_sweeps=12, thinning=1),
-        cdf_tol=1e-2, seed=55, eval_every=10_000, d1=8, d2=4,
+        cdf_tol=1e-2, seed=55, d1=8, d2=4,
     )
     aucs = {}
     for name, hidden in (("network", (16, 16, 8)), ("linear", ())):

@@ -5,6 +5,7 @@ import pytest
 
 from dmse.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from dmse.errors import CorruptCheckpoint
+from dmse.mlp import MlpParams
 from dmse.model import init_model_params
 
 
@@ -63,7 +64,27 @@ class TestRoundTrip:
         assert load_checkpoint(path).species_names == ["Ardea cinérea", "チドリ"]
 
 
+def hand_built(case):
+    """Parameters no initializer makes, which ``checkpoint_bytes`` still writes."""
+    params = sample_params(hidden=(5, 3))
+    if case == "zero-d1":
+        params.S, params.W = params.S[:0], params.W[:0]
+        return params
+    dims = {"one-entry": (3,), "zero-width": (3, 0, 3)}[case]
+    pairs = list(zip(dims[:-1], dims[1:]))
+    params.mlp = MlpParams(dims, [np.zeros((b, a)) for a, b in pairs], [np.zeros(b) for _, b in pairs])
+    return params
+
+
 class TestCorruption:
+    @pytest.mark.parametrize("case", ["one-entry", "zero-width", "zero-d1"])
+    def test_dims_below_one_rejected(self, tmp_path, case):
+        # Valid CRC and sizes; only a dimension breaks the writers' rules.
+        path = tmp_path / "model.dmse"
+        path.write_bytes(checkpoint_bytes(hand_built(case)))
+        with pytest.raises(CorruptCheckpoint, match="dims must be >= 1"):
+            load_checkpoint(path)
+
     def test_flipped_byte_fails_crc(self, tmp_path):
         path = tmp_path / "model.dmse"
         save_checkpoint(sample_params(), path)

@@ -3,12 +3,14 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dmse.checkpoint import load_checkpoint, save_checkpoint
 from dmse.cli import (
+    _build_synth_spec,
     main,
     parse_flat_config,
     read_correlation_csv,
@@ -76,17 +78,28 @@ class TestConfigParsing:
         cfg = build_train_config({
             "learning_rate": "0.2", "adagrad_epsilon": "1e-9",
             "minibatch_size": "16", "epochs": "3", "cdf_tol": "1e-4",
-            "seed": "9", "eval_every": "50", "d1": "7", "d2": "5",
-            "hidden_dims": "32,16", "patience": "2",
+            "seed": "9", "d1": "7", "d2": "5", "hidden_dims": "32,16",
             "n_samples": "64", "burn_in_sweeps": "20", "thinning": "3",
         })
         assert cfg.learning_rate == 0.2
         assert cfg.hidden_dims == (32, 16)
         assert cfg.sampler.n_samples == 64
         assert cfg.sampler.thinning == 3
-        # Training derives the sampler seed per step, so it is not a key.
-        with pytest.raises(ConfigError, match="unknown config key 'rng_seed'"):
-            build_train_config({"rng_seed": "11"})
+        # Training derives the sampler seed per step, and runs every epoch
+        # without a validation loop, so none of these is a key.
+        for key in ("rng_seed", "eval_every", "patience"):
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+                build_train_config({key: "11"})
+
+    def test_readme_configs_parse(self):
+        # The walkthrough's heredocs: a key the program drops fails here.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        docs = dict(re.findall(r"^cat > (\S+) <<EOF\n(.*?)^EOF$", readme, re.M | re.S))
+        assert set(docs) == {"synth.cfg", "train.cfg"}
+        cfg = build_train_config(parse_flat_config(docs["train.cfg"]))
+        assert cfg.hidden_dims == (16, 16, 8) and cfg.sampler.n_samples == 48
+        spec = _build_synth_spec(parse_flat_config(docs["synth.cfg"]))
+        assert (spec.n_species, spec.m_features, spec.n_obs) == (2, 3, 5000)
 
     def test_hidden_dims_none(self):
         cfg = build_train_config({"hidden_dims": "none"})
@@ -99,8 +112,7 @@ class TestConfigParsing:
             ("learning_rate", "nan", "nan"),
             ("learning_rate", "inf", "inf"), ("cdf_tol", "-1", "-1.0"),
             ("cdf_tol", "nan", "nan"), ("adagrad_epsilon", "inf", "inf"),
-            ("patience", "-3", "-3"), ("hidden_dims", "0", "(0,)"),
-            ("hidden_dims", "8,0", "(8, 0)"),
+            ("hidden_dims", "0", "(0,)"), ("hidden_dims", "8,0", "(8, 0)"),
         ]:
             with pytest.raises(ConfigError, match=rf"^{key} must be .*, got {re.escape(shown)}$"):
                 build_train_config({key: value})
@@ -184,15 +196,16 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: DimMismatch:")
 
     @pytest.mark.parametrize("argv, named", [
-        (["train", "--patience", "-3"], "--patience: patience must be >= 0, got -3"),
+        (["train", "--set", "patience=2"], "unknown config key 'patience'"),
+        (["train", "--set", "eval_every=5"], "unknown config key 'eval_every'"),
         (["train", "--set", "cutoff_k=5"], "unknown config key 'cutoff_k'"),
         (["eval", "--tol", "-1"], "--tol must be finite and > 0, got -1.0"),
         (["eval", "--tol", "nan"], "--tol must be finite and > 0, got nan"),
         (["predict", "--tol", "0"], "--tol must be finite and > 0, got 0.0"),
         (["cv", "--k", "5"], "--k must be in [2, n_obs=2], got 5"),
         (["cv", "--k", "1"], "--k must be in [2, n_obs=2], got 1"),
-    ], ids=["train-patience", "train-cutoff_k", "eval-tol-negative", "eval-tol-nan",
-            "predict-tol-zero", "cv-k-above-rows", "cv-k-1"])
+    ], ids=["train-patience", "train-eval_every", "train-cutoff_k", "eval-tol-negative",
+            "eval-tol-nan", "predict-tol-zero", "cv-k-above-rows", "cv-k-1"])
     def test_rejected_argument_is_2(self, tmp_path, capsys, argv, named):
         data = write(tmp_path, "d.csv", "sp:a,env:x\n1,0.0\n0,1.0\n")
         cfg = write(tmp_path, "t.cfg", FAST_TRAIN)
@@ -205,6 +218,13 @@ class TestExitCodes:
         }[argv[0]]
         assert main(argv + rest) == 2
         assert capsys.readouterr().err == f"error: ConfigError: {named}\n"
+
+    def test_patience_flag_is_rejected_by_argparse(self, tmp_path, capsys):
+        data = write(tmp_path, "d.csv", "sp:a,env:x\n1,0.0\n0,1.0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", data, "--out", str(tmp_path / "m"), "--patience", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --patience 2" in capsys.readouterr().err
 
     def test_eval_dim_mismatch_is_3_and_names_species(self, workspace, capsys, tmp_path):
         ws, data, cfg, model = workspace

@@ -14,7 +14,6 @@ from dmse.model import (
     init_model_params,
     log_likelihood,
     mu_forward,
-    predict_marginal,
     sigma_from_lambda,
 )
 from oracles import all_patterns, bvn_orthant, random_correlation
@@ -136,23 +135,23 @@ class TestMuForward:
 class TestPredictMarginal:
     def test_zero_mu_gives_half(self):
         params = direct_params(2, np.eye(2))
-        np.testing.assert_allclose(predict_marginal(params, np.zeros(2)), 0.5, atol=1e-15)
+        np.testing.assert_allclose(ndtr(mu_forward(params, np.zeros(2))[0]), 0.5, atol=1e-15)
 
     def test_quantile_value(self):
         params = direct_params(1, np.eye(1))
-        p = predict_marginal(params, np.array([1.96]))
+        p = ndtr(mu_forward(params, np.array([1.96]))[0])
         np.testing.assert_allclose(p, [0.9750021048517795], rtol=1e-10)
 
     def test_large_negative_limit(self):
         params = direct_params(1, np.eye(1))
-        assert predict_marginal(params, np.array([-40.0]))[0] == 0.0
+        assert ndtr(mu_forward(params, np.array([-40.0]))[0])[0] == 0.0
 
     def test_independent_of_lambda(self):
         rng = np.random.default_rng(8)
         l = rng.normal(size=3)
         a = direct_params(3, np.eye(3))
         b = direct_params(3, rng.normal(size=(3, 3)))
-        np.testing.assert_array_equal(predict_marginal(a, l), predict_marginal(b, l))
+        np.testing.assert_array_equal(ndtr(mu_forward(a, l)[0]), ndtr(mu_forward(b, l)[0]))
 
 
 class TestLogLikelihoodObs:
@@ -249,10 +248,10 @@ class TestJointDistributionProperties:
         """Presence marginals are independent of the off-diagonal entries."""
         rng = np.random.default_rng(60)
         mu = rng.normal(size=2)
-        p_indep = predict_marginal(direct_params(2, np.eye(2)), mu)
+        p_indep = ndtr(mu_forward(direct_params(2, np.eye(2)), mu)[0])
         for rho in (-0.7, 0.3, 0.9):
             sigma = np.array([[1.0, rho], [rho, 1.0]])
-            p_corr = predict_marginal(direct_params(2, lambda_for_sigma(sigma)), mu)
+            p_corr = ndtr(mu_forward(direct_params(2, lambda_for_sigma(sigma)), mu)[0])
             np.testing.assert_array_equal(p_indep, p_corr)
         # And through the joint: brute-force marginal at rho=0.6 equals Phi(mu).
         sigma = np.array([[1.0, 0.6], [0.6, 1.0]])

@@ -18,8 +18,6 @@ from dmse.mvn import (
     cdf_rectangle,
     cdf_rectangles,
     cholesky,
-    mvn_logpdf,
-    mvn_pdf,
     sample_truncated,
     _cbc_lattice,
     _lattice_means,
@@ -62,39 +60,6 @@ class TestCholesky:
     def test_non_square_raises(self):
         with pytest.raises(DimMismatch):
             cholesky(np.zeros((2, 3)))
-
-
-class TestPdf:
-    def test_univariate_standard_at_zero(self):
-        p = MvnProblem([0.0], [[1.0]])
-        np.testing.assert_allclose(mvn_pdf(p, [0.0]), 1.0 / math.sqrt(2 * math.pi), rtol=1e-12)
-
-    def test_bivariate_standard_at_zero(self):
-        p = MvnProblem([0.0, 0.0], np.eye(2))
-        np.testing.assert_allclose(mvn_pdf(p, [0.0, 0.0]), 1.0 / (2 * math.pi), rtol=1e-12)
-
-    def test_maximum_at_mean(self):
-        rng = np.random.default_rng(3)
-        cov = random_correlation(rng, 3)
-        mean = rng.normal(size=3)
-        p = MvnProblem(mean, cov)
-        at_mean = mvn_logpdf(p, mean)
-        for _ in range(20):
-            assert mvn_logpdf(p, mean + rng.normal(size=3)) < at_mean
-
-    def test_matches_quadratic_form(self):
-        rng = np.random.default_rng(4)
-        cov = random_correlation(rng, 3)
-        mean = rng.normal(size=3)
-        x = rng.normal(size=3)
-        p = MvnProblem(mean, cov)
-        d = x - mean
-        direct = (
-            -1.5 * math.log(2 * math.pi)
-            - 0.5 * math.log(np.linalg.det(cov))
-            - 0.5 * d @ np.linalg.inv(cov) @ d
-        )
-        np.testing.assert_allclose(mvn_logpdf(p, x), direct, rtol=1e-10)
 
 
 class TestCdfRectangle:
@@ -457,12 +422,12 @@ class TestMvnProblem:
 
     def test_factor_is_computed_only(self):
         with pytest.raises(TypeError):
-            MvnProblem([0.0, 0.0], np.eye(2), chol=np.eye(2))
+            MvnProblem([0.0, 0.0], np.eye(2), precision=np.eye(2))
 
     def test_with_mean_shares_factor_and_checks_shape(self):
         p = MvnProblem(np.zeros(2), np.array([[1.0, 0.4], [0.4, 1.0]]))
         q = p.with_mean(np.ones((3, 2)))
-        assert q.chol is p.chol and q.precision is p.precision
+        assert q.precision is p.precision
         np.testing.assert_array_equal(q.mean, np.ones((3, 2)))
         np.testing.assert_array_equal(p.mean, np.zeros(2))
         for bad in (np.zeros(3), np.zeros((2, 2, 2))):
