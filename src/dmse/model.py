@@ -21,7 +21,6 @@ that transform.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -31,8 +30,6 @@ from .errors import DimMismatch, ZeroColumn
 from .mlp import MlpParams, MlpTape, glorot_uniform, mlp_forward, mlp_init
 from .mvn import DEFAULT_CDF_TOL, CdfEstimate, MvnProblem, Rectangle, cdf_rectangles
 from .seeding import derive_seed
-
-log = logging.getLogger(__name__)
 
 __all__ = [
     "FeatureStandardization",
@@ -241,7 +238,7 @@ def joint_estimates(
 
     One forward pass and one factorization serve every row; row ``i``
     integrates with seed ``seed XOR i``, and a row that misses the tolerance
-    is logged and kept.
+    is kept (:func:`~dmse.mvn.cdf_rectangles` logs it).
     """
     presence = np.asarray(presence)
     features = np.asarray(features, dtype=float)
@@ -250,14 +247,7 @@ def joint_estimates(
     mu, _, _ = mu_forward(params, features)
     problem = MvnProblem(mu, sigma_from_lambda(params.Lambda_raw))
     seeds = [seed ^ i for i in range(len(mu))]
-    estimates = cdf_rectangles(problem, Rectangle.from_presence(presence), seeds, tol)
-    for est in estimates:
-        if not est.tolerance_reached:
-            log.warning(
-                "joint probability tolerance %g not reached (error %.2e after %d samples)",
-                tol, est.error_estimate, est.samples_used,
-            )
-    return estimates
+    return cdf_rectangles(problem, Rectangle.from_presence(presence), seeds, tol)
 
 
 def sum_log_values(estimates) -> float:

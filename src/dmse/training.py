@@ -7,9 +7,11 @@ observation's chains (from one seeded stream per step), and one chain-rule
 assembly. The correlation matrix, its factor, and its inverse are computed
 once per step since they do not depend on the features.
 
-Each step also logs a cheap estimate of the minibatch log-likelihood (one
-lattice pass per observation) together with its relative error. Every
-epoch runs; held-out data is scored by :func:`dmse.evaluation.evaluate`.
+Each step also logs a cheap estimate of the minibatch log-likelihood
+together with its relative error: each observation integrates at
+``tol=math.inf``, which is exactly one lattice pass and never a tolerance
+miss. Every epoch runs; held-out data is scored by
+:func:`dmse.evaluation.evaluate`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .model import (
     sigma_from_lambda,
     _reperturb_zero_columns,
 )
-from .mvn import N_RANDOMIZATIONS, MvnProblem, Rectangle, SamplerConfig, cdf_rectangles
+from .mvn import MvnProblem, Rectangle, SamplerConfig, cdf_rectangles
 from .seeding import derive_seed
 
 log = logging.getLogger(__name__)
@@ -46,22 +48,15 @@ __all__ = [
     "kfold_split",
 ]
 
-#: Integrand evaluations for each observation's logged log-likelihood:
-#: one lattice pass of :data:`N_RANDOMIZATIONS` shifts of 257 points, so the
-#: integrator never doubles the point count.
-LOGLIK_MAX_SAMPLES = N_RANDOMIZATIONS * 257
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of one training run.
 
-    ``cdf_tol`` changes no output of :func:`train`: the per-step logged
-    estimate is always one lattice pass (:data:`LOGLIK_MAX_SAMPLES`), so
-    the tolerance only decides whether that pass counts as a miss, and
-    gradient estimation never integrates. ``dmse cv`` evaluates each fold
-    at this tolerance. ``hidden_dims=()`` trains the model without the
-    network (projection of raw features only).
+    ``cdf_tol`` is read only by ``dmse cv``, which evaluates each fold at
+    this tolerance; :func:`train` never reads it (its logged estimate is
+    always one lattice pass, and gradient estimation never integrates).
+    ``hidden_dims=()`` trains the model without the network (projection
+    of raw features only).
     """
 
     learning_rate: float = 0.05
@@ -178,7 +173,7 @@ def _minibatch_bundle(params, presence, features, indices, cfg, sampler_seed, lo
     bundle = assemble_bundle(params, feats, musig, tape, h)
     stats = []
     seeds = [loglik_seed ^ int(i) for i in indices]
-    for est in cdf_rectangles(problem, rect, seeds, cfg.cdf_tol, LOGLIK_MAX_SAMPLES):
+    for est in cdf_rectangles(problem, rect, seeds, math.inf):
         value = max(est.value, 1e-300)
         stats.append((np.log(value), est.error_estimate / value))
     mean_ll, mean_err = np.mean(stats, axis=0)

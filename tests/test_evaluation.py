@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import log_ndtr
 
-from dmse import model, mvn
+from dmse import mvn
 from dmse.dataio import Dataset
 from dmse.errors import DegenerateLabels, DimMismatch
 from dmse.evaluation import auc, evaluate
@@ -208,11 +208,8 @@ class TestIntegratorHealth:
 
     def test_misses_counted_and_logged(self, monkeypatch, caplog):
         # One lattice pass per row, at a tolerance no pass can reach.
-        def one_pass(problem, rect, seeds, tol):
-            return mvn.cdf_rectangles(problem, rect, seeds, tol, max_samples=1)
-
-        monkeypatch.setattr(model, "cdf_rectangles", one_pass)
-        with caplog.at_level(logging.WARNING, logger="dmse.model"):
+        monkeypatch.setattr(mvn, "MAX_SAMPLES", 1)
+        with caplog.at_level(logging.WARNING, logger="dmse.mvn"):
             report = evaluate(self.params, self.data, cdf_tol=1e-12, seed=33)
         assert report.tol_misses == len(self.data) == len(caplog.records)
         ests = joint_estimates(self.params, self.data.presence, self.data.features,

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dmse import mvn
 from dmse.errors import DimMismatch, NotPositiveDefinite
 from dmse.model import sigma_from_lambda
 from dmse.mvn import (
@@ -150,23 +151,22 @@ class TestCdfRectangle:
             assert est.value + est.error_estimate <= 1.0 + 1e-12
             assert est.samples_used >= 0
 
-    def test_budget_exhaustion_sets_flag(self):
+    def test_budget_exhaustion_sets_flag(self, monkeypatch):
         cov = np.array([[1.0, 0.5], [0.5, 1.0]])
         p = MvnProblem([0.0, 0.0], cov)
-        est = cdf_rectangle(
-            p, Rectangle.from_presence([1, 1]), tol=1e-12, max_samples=5000, seed=4
-        )
+        monkeypatch.setattr(mvn, "MAX_SAMPLES", 5000)
+        est = cdf_rectangle(p, Rectangle.from_presence([1, 1]), tol=1e-12, seed=4)
         assert not est.tolerance_reached
         assert est.samples_used >= 5000
 
     @pytest.mark.parametrize("budget", [3084, 3085, 45_912, 50_000])
-    def test_budget_is_checked_between_passes(self, budget):
-        """``max_samples`` is a budget, not a cap: a pass starts only while
+    def test_budget_is_checked_between_passes(self, budget, monkeypatch):
+        """``MAX_SAMPLES`` is a budget, not a cap: a pass starts only while
         fewer evaluations have been used, so the final pass starts below
         the budget and may overrun it."""
         p = MvnProblem([0.3, -0.2, 0.1], random_correlation(np.random.default_rng(31), 3))
-        est = cdf_rectangle(p, Rectangle.from_presence([1, 0, 1]), tol=0.0,
-                            max_samples=budget, seed=3)
+        monkeypatch.setattr(mvn, "MAX_SAMPLES", budget)
+        est = cdf_rectangle(p, Rectangle.from_presence([1, 0, 1]), tol=0.0, seed=3)
         used, n_points = 0, 256
         while used < budget:
             last = N_RANDOMIZATIONS * _cbc_lattice(2, n_points)[1]
@@ -254,7 +254,7 @@ class TestLatticeMeans:
             else:  # chunk sums change only the order of the final sum
                 np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
-    def test_peak_memory_is_bounded(self):
+    def test_peak_memory_is_bounded(self, monkeypatch):
         """About 800k evaluations at n=20 hold under 32 MiB of numpy arrays;
         materializing every point of a pass took about 200 MiB."""
         rng = np.random.default_rng(11)
@@ -263,9 +263,10 @@ class TestLatticeMeans:
         p = MvnProblem(rng.normal(size=n), cov)
         x = p.mean + np.linalg.cholesky(cov + 1e-9 * np.eye(n)) @ rng.normal(size=n)
         rect = Rectangle.from_presence((x > 0).astype(int))
+        monkeypatch.setattr(mvn, "MAX_SAMPLES", 400_000)
         tracemalloc.start()
         try:
-            est = cdf_rectangle(p, rect, tol=0.0, max_samples=400_000, seed=5)
+            est = cdf_rectangle(p, rect, tol=0.0, seed=5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -283,9 +284,9 @@ class TestCdfRectangles:
     def test_rows_equal_scalar_calls(self):
         p, rect = MvnProblem(self.mean, self.cov), Rectangle.from_presence(self.bits)
         seeds = [7, 8, 2**63 + 5, 0]
-        got = cdf_rectangles(p, rect, seeds, tol=1e-4, max_samples=20_000)
+        got = cdf_rectangles(p, rect, seeds, tol=1e-4)
         want = [
-            cdf_rectangle(MvnProblem(m, self.cov), Rectangle.from_presence(b), 1e-4, 20_000, s)
+            cdf_rectangle(MvnProblem(m, self.cov), Rectangle.from_presence(b), 1e-4, s)
             for m, b, s in zip(self.mean, self.bits, seeds)
         ]
         assert got == want
