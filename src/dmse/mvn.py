@@ -436,7 +436,7 @@ def _lattice_means(cho, lo, hi, n_points, shifts):
             w = (k * gen[i - 1]) % 1.0 + shifts[:, i - 1, None]
             w -= w >= 1.0
             u = c + np.abs(2.0 * w - 1.0).reshape(-1) * (d - c)
-            y[i - 1] = ndtri(np.clip(u, 1e-16, 1.0 - 1e-16))
+            y[i - 1] = ndtri(np.clip(u, 5e-324, 1.0 - 1e-16))
             s = cho[i, :i] @ y[:i]
             c = 0.0 if lo[i] == -np.inf else ndtr(lo[i] - s)
             d = 1.0 if hi[i] == np.inf else ndtr(hi[i] - s)
@@ -481,14 +481,17 @@ def cdf_rectangle(
     if rect.dim != problem.dim:
         raise DimMismatch(f"rectangle dim {rect.dim} != problem dim {problem.dim}")
     n = problem.dim
-    lo = rect.lower - problem.mean
-    hi = rect.upper - problem.mean
+    # Negate every variable whose interval is [lo, inf): its half-line then
+    # lies below, where ndtr keeps full relative precision, instead of
+    # 1 - ndtr(lo), which cancels to 0 in a far upper tail.
+    sign = np.where(rect.upper == np.inf, -1.0, 1.0)
+    lo, hi = np.sort([sign * (rect.lower - problem.mean), sign * (rect.upper - problem.mean)], axis=0)
     if n == 1:
         sd = math.sqrt(problem.cov[0, 0])
         value = float(ndtr(hi[0] / sd) - ndtr(lo[0] / sd))
         return CdfEstimate(value, 1e-15, 0, True)
 
-    cho, tlo, thi, _ = _ordered_cholesky(problem.cov, lo, hi)
+    cho, tlo, thi, _ = _ordered_cholesky(problem.cov * np.outer(sign, sign), lo, hi)
     rng = np.random.default_rng(seed)
     n_points = 256
     value, err = 0.0, math.inf

@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the package's own integration and
 sampling paths: probabilities come from dense tensor-product quadrature of
-the closed-form density or from brute-force rejection sampling, and
-gradients come from central finite differences. The oracles are themselves
-cross-checked against closed forms in test_oracles.py.
+the closed-form density, from a one-dimensional integral over the common
+factor of an equicorrelated normal, or from brute-force rejection sampling,
+and gradients come from central finite differences. The oracles are
+themselves cross-checked against closed forms in test_oracles.py.
 
 Two are reference copies of the integrator's earlier, unvectorized
 internals, which pin the vectorized ones bit for bit:
@@ -19,12 +20,34 @@ import itertools
 import math
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, logsumexp, ndtr, ndtri
+
+# Common-factor grid of :func:`equicorrelated_log_prob`: wide enough for
+# latent means of 20 sd, and a step at which the trapezoid error of the
+# Gaussian-decaying integrand is far below 1e-12 relative.
+_Z = np.linspace(-40.0, 40.0, 8001)
+_LOG_W = -0.5 * _Z * _Z - 0.5 * math.log(2.0 * math.pi) + math.log(0.01)
 
 
 def bvn_orthant(rho: float) -> float:
     """P(X > 0, Y > 0) for a standard bivariate normal: 1/4 + asin(rho)/(2 pi)."""
     return 0.25 + math.asin(rho) / (2.0 * math.pi)
+
+
+def equicorrelated_log_prob(mu, bits, rho: float) -> float:
+    """``log P(b)`` of presence pattern ``bits`` for a latent ``N(mu, Sigma)``
+    with unit variances and every correlation ``rho`` in ``[0, 1)``.
+
+    ``X_j = mu_j + sqrt(rho) Z + sqrt(1 - rho) E_j`` with independent
+    standard normals, so given ``Z`` the species are independent and
+    ``P(b) = int phi(z) prod_j Phi(s_j (mu_j + sqrt(rho) z) / sqrt(1 - rho)) dz``
+    with ``s_j = 2 b_j - 1``. A trapezoid rule in log space keeps ``log P``
+    exact far below the float range.
+    """
+    signs = 2.0 * np.asarray(bits, dtype=float) - 1.0
+    mu = np.asarray(mu, dtype=float)
+    arg = signs[:, None] * (mu[:, None] + math.sqrt(rho) * _Z) / math.sqrt(1.0 - rho)
+    return float(logsumexp(log_ndtr(arg).sum(axis=0) + _LOG_W))
 
 
 def quadrature_rectangle(mean, cov, lower, upper, nodes: int = 80, clip_sd: float = 9.0) -> float:
@@ -204,7 +227,7 @@ def lattice_means_dense(cho, lo, hi, gen, n_points, shifts):
     y = np.empty((dim, r * n_points))
     for i in range(1, n):
         u = c + x[:, i - 1] * (d - c)
-        y[i - 1] = ndtri(np.clip(u, 1e-16, 1.0 - 1e-16))
+        y[i - 1] = ndtri(np.clip(u, 5e-324, 1.0 - 1e-16))
         s = cho[i, :i] @ y[:i]
         c = ndtr(lo[i] - s)
         d = ndtr(hi[i] - s)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface."""
 
 import json
+import logging
 import math
 import re
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dmse import mvn
 from dmse.checkpoint import load_checkpoint, save_checkpoint
 from dmse.cli import (
     _build_synth_spec,
@@ -279,6 +281,29 @@ class TestTrainCommand:
         assert load_checkpoint(out).d1 == 5
 
 
+    def test_logged_likelihood_is_one_pass_whatever_cdf_tol(self, tmp_path, caplog):
+        """One step at n=20 logs no warning, and ``cdf_tol`` changes neither
+        the checkpoint nor the step log (apart from its wall time)."""
+        spec = write(tmp_path, "synth.cfg", SYNTH_SPEC.replace("n_species = 2", "n_species = 20"))
+        data = str(tmp_path / "data.csv")
+        assert main(["synth", "--spec-config", spec, "--out", data]) == 0
+        cfg = write(tmp_path, "train.cfg", FAST_TRAIN.replace("d2 = 3", "d2 = 20")
+                    .replace("minibatch_size = 8", "minibatch_size = 48"))
+        outputs = []
+        for tol in ("1e-1", "1e-5"):
+            out = str(tmp_path / f"m{tol}.dmse")
+            with caplog.at_level(logging.WARNING, logger="dmse"):
+                assert main(["train", "--data", data, "--config", cfg, "--out", out,
+                             "--seed", "7", "--set", f"cdf_tol={tol}"]) == 0
+            records = [json.loads(line) for line in Path(out + ".log").read_text().splitlines()]
+            assert len(records) == 1
+            for rec in records:
+                del rec["wall_time"]
+            outputs.append((Path(out).read_bytes(), records))
+        assert caplog.records == []
+        assert outputs[0] == outputs[1]
+
+
 class TestEvalCommand:
     def test_report_files_written(self, workspace):
         ws, data, cfg, model = workspace
@@ -363,6 +388,23 @@ class TestPredictCommand:
         assert main(["predict", "--features-csv", str(feats), "--model", model,
                      "--out", str(out), "--joint-patterns", "11,01"]) == 0
         assert out.read_text().splitlines() == ["sp:a,sp:b,pattern:11,pattern:01"]
+
+    def test_missed_query_warns_once_per_row_and_pattern(self, tmp_path, monkeypatch, caplog):
+        lam = np.array([[1.0, 0.5], [0.0, math.sqrt(0.75)]])
+        model = self.make_model(tmp_path, lam, w_scale=1.0)
+        feats = tmp_path / "f.csv"
+        feats.write_text("env:x\n0.0\n1.0\n-2.0\n", encoding="utf-8")
+        out = tmp_path / "p.csv"
+        monkeypatch.setattr(mvn, "MAX_SAMPLES", 1)
+        with caplog.at_level(logging.WARNING, logger="dmse"):
+            assert main(["predict", "--features-csv", str(feats), "--model", model,
+                         "--out", str(out), "--joint-patterns", "11,10",
+                         "--tol", "1e-12"]) == 0
+        assert len(out.read_text().splitlines()) == 4
+        assert len(caplog.records) == 3 * 2
+        for record in caplog.records:
+            assert record.levelno == logging.WARNING
+            assert "tolerance" in record.getMessage()
 
     def test_bad_pattern_is_config_error(self, tmp_path, capsys):
         model = self.make_model(tmp_path, np.eye(2))

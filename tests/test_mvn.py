@@ -1,6 +1,7 @@
 """Tests for the multivariate normal primitives."""
 
 import dataclasses
+import logging
 import math
 import tracemalloc
 
@@ -27,6 +28,7 @@ from dmse.mvn import (
 from oracles import (
     batch_se,
     bvn_orthant,
+    equicorrelated_log_prob,
     lattice_means_dense,
     ordered_cholesky_loop,
     quadrature_rectangle,
@@ -178,10 +180,68 @@ class TestCdfRectangle:
         if budget == 50_000:
             assert est.samples_used > 1.9 * budget
 
+    @pytest.mark.parametrize("n", [2, 20, 100])
+    def test_infinite_tolerance_is_one_pass(self, n):
+        """``tol=math.inf`` means exactly one pass of 12 shifts of 257
+        points, and that pass meets the tolerance."""
+        rng = np.random.default_rng(n)
+        p = MvnProblem(rng.normal(size=n), random_correlation(rng, n))
+        rect = Rectangle.from_presence(rng.integers(0, 2, n))
+        est = cdf_rectangle(p, rect, tol=math.inf, seed=1)
+        assert est.samples_used == 3084 == N_RANDOMIZATIONS * 257
+        assert est.tolerance_reached
+
     def test_dim_mismatch(self):
         p = MvnProblem([0.0, 0.0], np.eye(2))
         with pytest.raises(DimMismatch):
             cdf_rectangle(p, Rectangle.from_presence([1, 1, 1]))
+
+
+def _equicorrelated(mu0, bits, rho=0.5):
+    """Species 0 at mean ``mu0`` and the rest at 0, every correlation
+    ``rho``: the problem, the rectangle of ``bits`` and its exact probability."""
+    n = len(bits)
+    mean = np.zeros(n)
+    mean[0] = mu0
+    cov = np.full((n, n), rho) + (1.0 - rho) * np.eye(n)
+    exact = math.exp(equicorrelated_log_prob(mean, bits, rho))
+    return MvnProblem(mean, cov), Rectangle.from_presence(bits), exact
+
+
+class TestFarTails:
+    """Intervals far out in a tail, against the equicorrelation oracle. An
+    interval ``[lo, inf)`` integrated as ``1 - ndtr(lo - s)`` cancels to 0
+    once ``lo - s`` passes about 8.3, and the estimate still reported
+    success."""
+
+    @pytest.mark.parametrize("mu0", [-7.0, -9.0, -15.0])
+    def test_univariate_presence_is_exact(self, mu0):
+        p, rect, exact = _equicorrelated(mu0, [1])
+        est = cdf_rectangle(p, rect)
+        assert abs(est.value - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("mu0", [-7.0, -8.0, -9.0, -15.0])
+    def test_bivariate_presence_meets_its_tolerance(self, mu0):
+        p, rect, exact = _equicorrelated(mu0, [1, 0])
+        est = cdf_rectangle(p, rect, tol=1e-6, seed=0)
+        assert est.tolerance_reached
+        assert abs(est.value - exact) <= 1e-6 * exact
+
+    def test_deep_absence_meets_its_tolerance(self):
+        # (-inf, -10] has mass 7.6e-24: a uniform floor of 1e-16 put the
+        # conditioning draw at -8.2, outside the interval.
+        p, rect, exact = _equicorrelated(10.0, [0] * 5)
+        est = cdf_rectangle(p, rect, tol=1e-6, seed=0)
+        assert est.tolerance_reached
+        assert abs(est.value - exact) <= 1e-6 * exact
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_far_presence_reports_a_miss_not_a_wrong_value(self, n, monkeypatch):
+        monkeypatch.setattr(mvn, "MAX_SAMPLES", 100_000)
+        p, rect, exact = _equicorrelated(-9.0, [1] + [0] * (n - 1))
+        est = cdf_rectangle(p, rect, tol=1e-6, seed=0)
+        assert not est.tolerance_reached
+        assert abs(est.value - exact) <= est.error_estimate
 
 
 def _covariance(kind, n, rng):
@@ -302,6 +362,25 @@ class TestCdfRectangles:
         got = cdf_rectangles(p, Rectangle.from_presence(self.bits), [3] * 4, tol=1e-4)
         want = [cdf_rectangle(p, Rectangle.from_presence(b), 1e-4, seed=3) for b in self.bits]
         assert got == want
+
+    def test_each_missed_row_warns_once_through_dmse(self, monkeypatch):
+        """A missed row is logged on ``dmse.mvn`` and reaches a handler on
+        the package logger ``dmse``, once per row."""
+        records = []
+        handler = logging.Handler()
+        handler.emit = records.append
+        monkeypatch.setattr(mvn, "MAX_SAMPLES", 1)
+        package_log = logging.getLogger("dmse")
+        package_log.addHandler(handler)
+        try:
+            p, rect = MvnProblem(self.mean, self.cov), Rectangle.from_presence(self.bits)
+            got = cdf_rectangles(p, rect, range(4), tol=1e-12)
+        finally:
+            package_log.removeHandler(handler)
+        assert not any(est.tolerance_reached for est in got)
+        assert [r.name for r in records] == ["dmse.mvn"] * 4
+        assert all(r.levelno == logging.WARNING for r in records)
+        assert all("tolerance" in r.getMessage() for r in records)
 
     def test_empty_batch(self):
         p = MvnProblem(np.zeros((0, 3)), self.cov)

@@ -1,16 +1,16 @@
 """Self-checks of the test oracles against closed forms.
 
-The quadrature and rejection oracles pin expected values elsewhere in the
-suite, so they are validated here against independently known results
-before anything trusts them.
+The quadrature, equicorrelation and rejection oracles pin expected values
+elsewhere in the suite, so they are validated here against independently
+known results before anything trusts them.
 """
 
 import math
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
-from oracles import bvn_orthant, quadrature_rectangle, rejection_truncated
+from oracles import bvn_orthant, equicorrelated_log_prob, quadrature_rectangle, rejection_truncated
 
 
 class TestQuadratureOracle:
@@ -38,6 +38,26 @@ class TestQuadratureOracle:
             [0.0, 0.0, 0.0], cov, [-np.inf] * 3, [np.inf] * 3
         )
         np.testing.assert_allclose(v, 1.0, atol=1e-10)
+
+
+class TestEquicorrelationOracle:
+    def test_one_species_matches_log_ndtr(self):
+        # At mu = +-9 the smaller probability is below 1e-18, where
+        # 1 - Phi(9) no longer differs from 0 in floating point.
+        assert log_ndtr(-9.0) < math.log(1e-18)
+        for rho in (0.0, 0.5, 0.9):
+            for mu in (-9.0, -3.0, 0.0, 3.0, 9.0):
+                for bit in (0, 1):
+                    got = equicorrelated_log_prob([mu], [bit], rho)
+                    want = log_ndtr((2 * bit - 1) * mu)
+                    assert abs(got - want) <= 1e-13, (rho, mu, bit)
+
+    def test_two_species_orthant_matches_arcsin_formula(self):
+        for rho in (0.0, 0.3, 0.5, 0.9):
+            both = equicorrelated_log_prob([0.0, 0.0], [1, 1], rho)
+            one = equicorrelated_log_prob([0.0, 0.0], [1, 0], rho)
+            np.testing.assert_allclose(math.exp(both), bvn_orthant(rho), rtol=1e-13)
+            np.testing.assert_allclose(math.exp(one), 0.5 - bvn_orthant(rho), rtol=1e-13)
 
 
 class TestRejectionOracle:
