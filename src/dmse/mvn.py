@@ -10,12 +10,11 @@ gradients:
   controlled error estimate, computed by the sequential-conditioning
   transform to the unit hypercube and randomized lattice integration:
   :func:`cdf_rectangle` for one problem, :func:`cdf_rectangles` for every
-  row of a batch that shares one covariance. The tolerance alone decides
-  how long an integral runs (``tol=math.inf`` is one lattice pass), up to
-  the module budget :data:`MAX_SAMPLES`; :func:`cdf_rectangles` logs a
-  warning on logger ``dmse.mvn`` for every row that misses it. Lattice
-  points are made in fixed-size chunks, so memory is O(chunk * n) at any
-  point count, and an infinite bound costs no ``ndtr`` call.
+  row of a batch that shares one covariance, which logs every row that
+  misses its tolerance. Only the tolerance (up to :data:`MAX_SAMPLES`)
+  decides how long an integral runs. Lattice points are made in
+  fixed-size chunks, so memory is O(chunk * n) at any point count, and an
+  infinite bound costs no ``ndtr`` call.
 - Gibbs sampling of the normal restricted to an axis-aligned rectangle,
   with numerically safe truncated univariate draws. A problem's mean and a
   rectangle's bounds may carry a leading batch axis (one covariance, many
@@ -481,11 +480,11 @@ def cdf_rectangle(
     if rect.dim != problem.dim:
         raise DimMismatch(f"rectangle dim {rect.dim} != problem dim {problem.dim}")
     n = problem.dim
-    # Negate every variable whose interval is [lo, inf): its half-line then
-    # lies below, where ndtr keeps full relative precision, instead of
-    # 1 - ndtr(lo), which cancels to 0 in a far upper tail.
+    # Negate every variable whose interval is [lo, inf), so each half-line
+    # lies below, where ndtr keeps full relative precision (1 - ndtr(lo)
+    # cancels to 0 in a far upper tail).
     sign = np.where(rect.upper == np.inf, -1.0, 1.0)
-    lo, hi = np.sort([sign * (rect.lower - problem.mean), sign * (rect.upper - problem.mean)], axis=0)
+    lo, hi = np.sort(sign * ([rect.lower, rect.upper] - problem.mean), axis=0)
     if n == 1:
         sd = math.sqrt(problem.cov[0, 0])
         value = float(ndtr(hi[0] / sd) - ndtr(lo[0] / sd))
@@ -543,10 +542,8 @@ def cdf_rectangles(
     ]
     for est in estimates:
         if not est.tolerance_reached:
-            log.warning(
-                "joint probability tolerance %g not reached (error %.2e after %d samples)",
-                tol, est.error_estimate, est.samples_used,
-            )
+            log.warning("joint probability tolerance %g not reached (error %.2e after %d samples)",
+                        tol, est.error_estimate, est.samples_used)
     return estimates
 
 

@@ -7,11 +7,9 @@ observation's chains (from one seeded stream per step), and one chain-rule
 assembly. The correlation matrix, its factor, and its inverse are computed
 once per step since they do not depend on the features.
 
-Each step also logs a cheap estimate of the minibatch log-likelihood
-together with its relative error: each observation integrates at
-``tol=math.inf``, which is exactly one lattice pass and never a tolerance
-miss. Every epoch runs; held-out data is scored by
-:func:`dmse.evaluation.evaluate`.
+Each step also logs the minibatch log-likelihood, at ``tol=math.inf`` (one
+lattice pass per observation, never a miss), and its relative error. Every
+epoch runs; held-out data is scored by :func:`dmse.evaluation.evaluate`.
 """
 
 from __future__ import annotations
@@ -47,6 +45,7 @@ __all__ = [
     "train",
     "kfold_split",
 ]
+
 
 @dataclass(frozen=True)
 class TrainConfig:
