@@ -10,8 +10,8 @@ gradients:
   controlled error estimate, computed by the sequential-conditioning
   transform to the unit hypercube and randomized lattice integration:
   :func:`cdf_rectangle` for one problem, :func:`cdf_rectangles` for every
-  row of a batch that shares one covariance, which logs every row that
-  misses its tolerance. Only the tolerance (up to :data:`MAX_SAMPLES`)
+  row of a batch that shares one covariance (and logs each row that
+  misses its tolerance). Only the tolerance, up to :data:`MAX_SAMPLES`,
   decides how long an integral runs. Lattice points are made in
   fixed-size chunks, so memory is O(chunk * n) at any point count, and an
   infinite bound costs no ``ndtr`` call.
