@@ -12,7 +12,6 @@ from .dataio import (
     GroundTruth,
     SynthSpec,
     apply_standardization,
-    filter_top_species,
     load_csv,
     load_features_csv,
     save_csv,

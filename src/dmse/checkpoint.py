@@ -109,10 +109,14 @@ class _Reader:
         except UnicodeDecodeError as exc:
             raise CorruptCheckpoint("invalid UTF-8 in name table") from exc
 
-    def tensor(self, shape) -> np.ndarray:
+    def tensor(self, what: str, shape) -> np.ndarray:
         count = int(np.prod(shape))
-        raw = self.take(count * 8)
-        return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+        a = np.frombuffer(self.take(count * 8), dtype="<f8").astype(float).reshape(shape)
+        # The CRC covers NaN bytes too. Unchecked, a non-finite parameter would
+        # surface only after every integral had spent its whole budget on NaN.
+        if not np.all(np.isfinite(a)):
+            raise CorruptCheckpoint(f"non-finite value in {what}")
+        return a
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -139,12 +143,12 @@ def load_checkpoint(path) -> ModelParams:
     layer_dims = r.unpack(f"<{n_layer_dims}I") if n_layer_dims else ()
     species_names = [r.name() for _ in range(n)]
     feature_names = [r.name() for _ in range(m)]
-    mean = r.tensor((m,))
-    std = r.tensor((m,))
+    mean = r.tensor("standardization mean", (m,))
+    std = r.tensor("standardization std", (m,))
     constant = np.frombuffer(r.take(m), dtype=np.uint8).astype(bool)
-    s_mat = r.tensor((d1, n))
-    lam = r.tensor((d2, n))
-    w = r.tensor((d1, n_output))
+    s_mat = r.tensor("S", (d1, n))
+    lam = r.tensor("Lambda_raw", (d2, n))
+    w = r.tensor("W", (d1, n_output))
     if layer_dims:
         if len(layer_dims) < 2 or min(layer_dims) < 1:
             raise CorruptCheckpoint(
@@ -154,8 +158,8 @@ def load_checkpoint(path) -> ModelParams:
             raise CorruptCheckpoint("layer dims inconsistent with header dims")
         weights, biases = [], []
         for k in range(len(layer_dims) - 1):
-            weights.append(r.tensor((layer_dims[k + 1], layer_dims[k])))
-            biases.append(r.tensor((layer_dims[k + 1],)))
+            weights.append(r.tensor(f"MLP weight {k}", (layer_dims[k + 1], layer_dims[k])))
+            biases.append(r.tensor(f"MLP bias {k}", (layer_dims[k + 1],)))
         mlp = MlpParams(tuple(int(d) for d in layer_dims), weights, biases)
     else:
         if n_output != m:

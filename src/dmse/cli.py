@@ -274,19 +274,21 @@ def cmd_cv(args) -> int:
     dataset = dataio.load_csv(args.data)
     if not 2 <= args.k <= len(dataset):
         raise ConfigError(f"--k must be in [2, n_obs={len(dataset)}], got {args.k}")
-    splits = kfold_split(len(dataset), args.k, seed=derive_seed(args.seed, "folds"))
+    # As in train: --seed overrides the config's seed.
+    seed = args.seed if args.seed is not None else cfg.seed
+    splits = kfold_split(len(dataset), args.k, seed=derive_seed(seed, "folds"))
     os.makedirs(args.out_dir, exist_ok=True)
     metrics = []
     for i, (trn, val) in enumerate(splits):
-        fold_cfg = replace(cfg, seed=derive_seed(args.seed, "fold", i))
+        fold_cfg = replace(cfg, seed=derive_seed(seed, "fold", i))
         try:
             params, _ = train(
                 dataset.subset(trn), fold_cfg,
-                init_seed=derive_seed(args.seed, "fold-init", i),
+                init_seed=derive_seed(seed, "fold-init", i),
             )
             report = evaluate(
                 params, dataset.subset(val), cdf_tol=cfg.cdf_tol,
-                seed=derive_seed(args.seed, "fold-eval", i),
+                seed=derive_seed(seed, "fold-eval", i),
             )
         except ConfigError:
             raise
@@ -411,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--config")
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.set_defaults(func=cmd_cv)

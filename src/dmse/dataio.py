@@ -38,7 +38,6 @@ __all__ = [
     "save_csv",
     "standardize",
     "apply_standardization",
-    "filter_top_species",
     "synth_generate",
     "synth_from_truth",
     "true_mu",
@@ -225,27 +224,6 @@ def apply_standardization(dataset: Dataset, stats: FeatureStandardization) -> Da
     return Dataset(
         dataset.presence, stats.apply(dataset.features),
         dataset.species_names, dataset.feature_names,
-    )
-
-
-def filter_top_species(dataset: Dataset, top_k: int) -> tuple[Dataset, float]:
-    """Keep the ``top_k`` most frequently present species.
-
-    Ties break by name order. Returns the filtered dataset and the fraction
-    of presence records retained.
-    """
-    n = dataset.n_species
-    if not 1 <= top_k <= n:
-        raise DimMismatch(f"top_k must be in [1, {n}], got {top_k}")
-    counts = dataset.presence.sum(axis=0)
-    order = sorted(range(n), key=lambda j: (-counts[j], dataset.species_names[j]))
-    keep = sorted(order[:top_k])
-    total = int(counts.sum())
-    coverage = float(counts[keep].sum()) / total if total > 0 else 1.0
-    return (
-        Dataset(dataset.presence[:, keep], dataset.features,
-                [dataset.species_names[j] for j in keep], dataset.feature_names),
-        coverage,
     )
 
 

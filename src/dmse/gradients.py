@@ -56,23 +56,12 @@ class MuSigmaGrad:
 
 @dataclass
 class GradientBundle:
-    """Parameter gradients averaged over a minibatch of ``n_obs`` observations."""
+    """Parameter gradients averaged over a minibatch."""
 
     d_S: np.ndarray
     d_Lambda_raw: np.ndarray
     d_W: np.ndarray
     d_mlp: MlpGrads | None
-    n_obs: int = 0
-
-    @classmethod
-    def zeros_like(cls, params: ModelParams) -> "GradientBundle":
-        return cls(
-            np.zeros_like(params.S),
-            np.zeros_like(params.Lambda_raw),
-            np.zeros_like(params.W),
-            MlpGrads.zeros_like(params.mlp) if params.mlp is not None else None,
-            0,
-        )
 
     def is_finite(self) -> bool:
         ok = (
@@ -173,4 +162,4 @@ def assemble_bundle(
         d_mlp, _ = mlp_backward(params.mlp, tape, grad_out)
     d_sigma = musig.d_sigma.reshape(-1, n, n).mean(axis=0)
     d_lambda = lambda_grad_from_sigma(params.Lambda_raw, d_sigma)
-    return GradientBundle(d_s, d_lambda, d_w, d_mlp, rows)
+    return GradientBundle(d_s, d_lambda, d_w, d_mlp)

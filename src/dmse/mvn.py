@@ -8,13 +8,15 @@ gradients:
   keeps the precision matrix the sampler conditions with.
 - Rectangle (orthant) probabilities ``Pr(lower <= X <= upper)`` with a
   controlled error estimate, computed by the sequential-conditioning
-  transform to the unit hypercube and randomized lattice integration:
-  :func:`cdf_rectangle` for one problem, :func:`cdf_rectangles` for every
-  row of a batch that shares one covariance (and logs each row that
-  misses its tolerance). Only the tolerance, up to :data:`MAX_SAMPLES`,
-  decides how long an integral runs. Lattice points are made in
-  fixed-size chunks, so memory is O(chunk * n) at any point count, and an
-  infinite bound costs no ``ndtr`` call.
+  transform to the unit hypercube and randomized lattice integration.
+  There is one integration path, :func:`cdf_rectangles`, whose unit of
+  work is a batch of rows sharing one covariance: it orders the variables
+  of many rows in each pass, then integrates row by row and logs each row
+  that misses its tolerance. :func:`cdf_rectangle` is its one-row case.
+  Only the tolerance, up to :data:`MAX_SAMPLES`, decides how long an
+  integral runs. Lattice points are made in fixed-size chunks, so memory
+  is O(chunk * n) at any point count, and an infinite bound costs no
+  ``ndtr`` call.
 - Gibbs sampling of the normal restricted to an axis-aligned rectangle,
   with numerically safe truncated univariate draws. A problem's mean and a
   rectangle's bounds may carry a leading batch axis (one covariance, many
@@ -27,7 +29,6 @@ are immutable, and the precision matrix is computed at construction time
 
 from __future__ import annotations
 
-import copy
 import logging
 import math
 from dataclasses import dataclass, field
@@ -59,11 +60,12 @@ N_RANDOMIZATIONS = 12
 #: Default relative tolerance for rectangle probabilities.
 DEFAULT_CDF_TOL = 1e-6
 
-#: Integrand-evaluation budget per cdf_rectangle call (a budget, not a
-#: cap: the last lattice pass starts below it and may overrun it).
+#: Integrand-evaluation budget per row of a cdf_rectangles call (a budget,
+#: not a cap: the last lattice pass starts below it and may overrun it).
 MAX_SAMPLES = 10_000_000
 
-#: Lattice points per chunk of an integrand pass, which bounds its memory.
+#: Lattice points per chunk of an integrand pass, which bounds its memory;
+#: cdf_rectangles orders ``_CHUNK // n`` rows at a time for the same reason.
 _CHUNK = 4096
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -139,9 +141,8 @@ class MvnProblem:
     Construction checks that ``cov`` is square and symmetric, factorizes it
     with :func:`cholesky` (one jitter retry; :class:`NotPositiveDefinite`
     if that fails), and keeps the inverse as ``precision``, which cannot be
-    passed in. Problems sharing one covariance reuse it through
-    :meth:`with_mean`. A mean of shape ``(B, n)`` makes a batch of ``B``
-    problems with one covariance.
+    passed in. A mean of shape ``(B, n)`` makes a batch of ``B`` problems
+    that share the covariance and its factorization.
     """
 
     mean: np.ndarray
@@ -166,12 +167,6 @@ class MvnProblem:
         if not np.all(np.isfinite(inv_l)):
             raise SingularCovariance("covariance not invertible after jitter")
         object.__setattr__(self, "precision", inv_l.T @ inv_l)
-
-    def with_mean(self, mean) -> "MvnProblem":
-        """The same covariance and precision around another mean."""
-        out = copy.copy(self)
-        object.__setattr__(out, "mean", _checked_mean(mean, self.dim))
-        return out
 
     @property
     def dim(self) -> int:
@@ -347,69 +342,76 @@ def _cbc_lattice(dim: int, n_points: int) -> tuple[tuple[float, ...], int]:
 
 
 def _ordered_cholesky(cov, lower, upper, singular_tol=1e-10):
-    """Scaled, reordered Cholesky factor for the conditioning transform.
+    """Scaled, reordered Cholesky factors for the conditioning transform.
 
-    Variables are permuted greedily so that the most truncating bound
+    Takes a batch: ``cov`` of shape ``(B, n, n)`` and bounds of shape
+    ``(B, n)``, ordered together one pivot at a time. Within each row,
+    variables are permuted greedily so that the most truncating bound
     (smallest conditional probability mass, ties to the last candidate)
     comes first, and rows are rescaled so every conditional standard
     deviation is 1. Handles positive semidefinite covariances by zeroing
-    exhausted pivots. Only the lower triangle of ``cho`` is meaningful.
+    exhausted pivots.
 
     Returns ``(cho, lo, hi, perm)`` in the transformed coordinates, where
-    transformed variable ``k`` is original variable ``perm[k]``.
+    ``cho`` is lower triangular and transformed variable ``k`` of row ``r``
+    is original variable ``perm[r, k]``.
     """
     cho = np.array(cov, dtype=float)
-    n = cho.shape[0]
-    dc = np.sqrt(np.maximum(np.diag(cho), 0.0))
+    b, n = cho.shape[:2]
+    dc = np.sqrt(np.maximum(np.diagonal(cho, axis1=1, axis2=2), 0.0))
     dc[dc == 0.0] = 1.0
     lo = np.asarray(lower, dtype=float) / dc
     hi = np.asarray(upper, dtype=float) / dc
-    cho /= dc
-    cho /= dc[:, None]
+    cho /= dc[:, None, :]
+    cho /= dc[:, :, None]
+    # A symmetric working matrix lets each swap move whole rows and columns;
+    # the Schur update keeps it symmetric, since col_i * col_j == col_j * col_i.
+    iu = np.triu_indices(n, 1)
+    cho[:, iu[0], iu[1]] = cho[:, iu[1], iu[0]]
 
-    perm = np.arange(n)
-    y = np.zeros(n)
+    rows = np.arange(b)
+    perm = np.tile(np.arange(n), (b, 1))
+    y = np.zeros((b, n))
     for k in range(n):
-        # Conditional mass of every remaining candidate given y[:k]; an
+        # Conditional mass of every remaining candidate given y[:, :k]; an
         # exhausted pivot or a NaN mass never wins. Summing each row alike
         # (unlike a BLAS matvec) makes exchangeable candidates tie exactly.
-        diag = np.diag(cho)[k:]
+        diag = np.diagonal(cho, axis1=1, axis2=2)[:, k:]
         live = diag > singular_tol
         ci = np.sqrt(np.where(live, diag, 1.0))
-        s = (cho[k:, :k] * y[:k]).sum(axis=1)
-        lo_c = (lo[k:] - s) / ci
-        hi_c = (hi[k:] - s) / ci
+        s = (cho[:, k:, :k] * y[:, None, :k]).sum(axis=2)
+        lo_c = (lo[:, k:] - s) / ci
+        hi_c = (hi[:, k:] - s) / ci
         de = ndtr(hi_c) - ndtr(lo_c)
         ok = live & (de <= 1.0)
-        i = n - k - 1 - int(np.argmin(np.where(ok, de, np.inf)[::-1]))
-        if not ok[i]:
-            # Pivots stay exhausted: zero what is left of the factor.
-            cho[k:, k:] = np.triu(cho[k:, k:], 1)
-            break
-        ck, dem, lo_m, hi_m, im = ci[i], de[i], lo_c[i], hi_c[i], k + i
-        if im > k:
-            # Swap variables k and im within the lower triangle.
-            cho[[k, im], [k, im]] = cho[[im, k], [im, k]]
-            cho[[k, im], :k] = cho[[im, k], :k]
-            cho[im + 1 :, [k, im]] = cho[im + 1 :, [im, k]]
-            cho[k + 1 : im, k], cho[im, k + 1 : im] = cho[im, k + 1 : im], cho[k + 1 : im, k].copy()
-            for v in (lo, hi, perm):
-                v[[k, im]] = v[[im, k]]
-        cho[k, k] = ck
-        cho[k, k + 1 :] = 0.0
-        cho[k + 1 :, k] /= ck
-        col = cho[k + 1 :, k]
-        cho[k + 1 :, k + 1 :] -= np.tril(np.outer(col, col))
-        if abs(dem) > singular_tol:
-            el = math.exp(-0.5 * lo_m * lo_m) if np.isfinite(lo_m) else 0.0
-            eh = math.exp(-0.5 * hi_m * hi_m) if np.isfinite(hi_m) else 0.0
-            y[k] = (el - eh) / (_SQRT_TWO_PI * dem)
-        else:
-            y[k] = hi_m if lo_m < -10 else lo_m if hi_m > 10 else 0.5 * (lo_m + hi_m)
-        cho[k, : k + 1] /= ck
-        lo[k] /= ck
-        hi[k] /= ck
-    return cho, lo, hi, perm
+        i = n - k - 1 - np.argmin(np.where(ok, de, np.inf)[:, ::-1], axis=1)
+        found = ok[rows, i]
+        i[~found] = 0
+        ck, dem, lo_m, hi_m, im = ci[rows, i], de[rows, i], lo_c[rows, i], hi_c[rows, i], k + i
+        # Swap variables k and im of every row (a no-op where im == k).
+        cho[rows, k], cho[rows, im] = cho[rows, im], cho[rows, k]
+        cho[rows, :, k], cho[rows, :, im] = cho[rows, :, im], cho[rows, :, k]
+        for v in (lo, hi, perm):
+            v[rows, k], v[rows, im] = v[rows, im], v[rows, k]
+        cho[:, k, k] = ck
+        cho[:, k + 1 :, k] /= ck[:, None]
+        col = cho[:, k + 1 :, k]
+        cho[:, k + 1 :, k + 1 :] -= col[:, :, None] * col[:, None, :]
+        big = np.abs(dem) > singular_tol
+        # Both branches are evaluated; a (-inf, inf) interval makes NaN in
+        # ``mid``, which it never takes.
+        with np.errstate(invalid="ignore"):
+            mass = (np.exp(-0.5 * lo_m * lo_m) - np.exp(-0.5 * hi_m * hi_m)) / (
+                _SQRT_TWO_PI * np.where(big, dem, 1.0))
+            mid = np.where(lo_m < -10, hi_m, np.where(hi_m > 10, lo_m, 0.5 * (lo_m + hi_m)))
+        y[:, k] = np.where(found, np.where(big, mass, mid), 0.0)
+        cho[:, k, : k + 1] /= ck[:, None]
+        lo[:, k] /= ck
+        hi[:, k] /= ck
+        # A row with no live pivot left: zero what is left of its factor, so
+        # its remaining diagonal stays exhausted at every later step.
+        cho[~found, k:, k:] = 0.0
+    return np.tril(cho), lo, hi, perm
 
 
 def _lattice_means(cho, lo, hi, n_points, shifts):
@@ -444,107 +446,101 @@ def _lattice_means(cho, lo, hi, n_points, shifts):
     return sums / n_points, r * n_points
 
 
-def cdf_rectangle(
-    problem: MvnProblem,
-    rect: Rectangle,
-    tol: float = DEFAULT_CDF_TOL,
-    seed: int = 0,
-) -> CdfEstimate:
-    """Estimate ``Pr(X in rect)`` for ``X ~ N(mean, cov)``.
-
-    The integral is transformed to the unit hypercube by sequential
-    conditioning on the reordered Cholesky factor, then integrated with a
-    randomly shifted rank-1 lattice under the tent transform, using
-    :data:`N_RANDOMIZATIONS` independent shifts. The point count doubles
-    until ``error_estimate <= tol * max(value, 1e-300)`` or
-    :data:`MAX_SAMPLES` is spent, in which case the estimate is returned
-    with ``tolerance_reached=False``. A pass starts only while fewer
-    evaluations have been used, so the last pass may take the total to
-    nearly twice the budget.
-
-    Parameters
-    ----------
-    problem:
-        Factorized normal distribution.
-    rect:
-        Integration region; must match the problem dimension.
-    tol:
-        Relative tolerance on the probability. ``math.inf`` is met by any
-        finite first estimate, so it means exactly one pass: 12 shifts of
-        257 points, 3,084 evaluations.
-    seed:
-        Seed for the randomization shifts; fixed seed gives a fixed result.
-    """
-    if problem.mean.ndim != 1 or rect.lower.ndim != 1:
-        raise DimMismatch("rectangle probabilities take a single problem, not a batch")
-    if rect.dim != problem.dim:
-        raise DimMismatch(f"rectangle dim {rect.dim} != problem dim {problem.dim}")
-    n = problem.dim
-    # Negate every variable whose interval is [lo, inf), so each half-line
-    # lies below, where ndtr keeps full relative precision (1 - ndtr(lo)
-    # cancels to 0 in a far upper tail).
-    sign = np.where(rect.upper == np.inf, -1.0, 1.0)
-    lo, hi = np.sort(sign * ([rect.lower, rect.upper] - problem.mean), axis=0)
-    if n == 1:
-        sd = math.sqrt(problem.cov[0, 0])
-        value = float(ndtr(hi[0] / sd) - ndtr(lo[0] / sd))
-        return CdfEstimate(value, 1e-15, 0, True)
-
-    cho, tlo, thi, _ = _ordered_cholesky(problem.cov * np.outer(sign, sign), lo, hi)
-    rng = np.random.default_rng(seed)
-    n_points = 256
-    value, err = 0.0, math.inf
-    used = 0
-    while True:
-        shifts = rng.random((N_RANDOMIZATIONS, n - 1))
-        means, n_eval = _lattice_means(cho, tlo, thi, n_points, shifts)
-        used += n_eval
-        vi = float(means.mean())
-        ei = 3.0 * float(means.std(ddof=1)) / math.sqrt(N_RANDOMIZATIONS)
-        if math.isfinite(err) and ei > 0.0:
-            # Inverse-variance combination with earlier stages.
-            wt = 1.0 / (1.0 + (ei / err) ** 2) if err > 0.0 else 1.0
-            value += wt * (vi - value)
-            err = math.sqrt(wt) * ei
-        else:
-            value, err = vi, ei
-        reached = err <= tol * max(abs(value), 1e-300)
-        if reached or used >= MAX_SAMPLES:
-            value = min(max(value, 0.0), 1.0)
-            err = max(0.0, min(err, value + 1e-12, 1.0 - value + 1e-12))
-            return CdfEstimate(value, err, used, reached)
-        n_points *= 2
-
-
 def cdf_rectangles(
     problem: MvnProblem,
     rect: Rectangle,
     seeds,
     tol: float = DEFAULT_CDF_TOL,
 ) -> list[CdfEstimate]:
-    """:func:`cdf_rectangle` for every row of a batch with one covariance.
+    """Estimate ``Pr(X in rect)`` for every row of a batch with one covariance.
 
     ``problem.mean`` and the bounds of ``rect`` broadcast to ``(B, n)``
     with ``B = len(seeds)``, so one rectangle may serve a batch of means
-    and one mean a batch of rectangles. Row ``i`` is integrated with seed
-    ``seeds[i]`` on the shared factorization; an empty batch gives ``[]``.
-    Every row that misses ``tol`` is kept and logged as one WARNING.
+    and one mean a batch of rectangles; an empty batch gives ``[]``.
+
+    Every row's integral is transformed to the unit hypercube by sequential
+    conditioning on its reordered Cholesky factor (many rows are ordered in
+    one pass), then integrated with a randomly shifted rank-1 lattice under
+    the tent transform, using :data:`N_RANDOMIZATIONS` independent shifts
+    drawn from seed ``seeds[i]``. A row's point count doubles until
+    ``error_estimate <= tol * max(value, 1e-300)`` or :data:`MAX_SAMPLES`
+    is spent, in which case its estimate is returned with
+    ``tolerance_reached=False`` and logged as one WARNING. A pass starts
+    only while fewer evaluations have been used, so the last pass may take
+    a row's total to nearly twice the budget.
+
+    ``tol=math.inf`` is met by any finite first estimate, so it means
+    exactly one pass per row: 12 shifts of 257 points, 3,084 evaluations.
     """
     seeds = list(seeds)
     shape = (len(seeds), problem.dim)
     try:
-        rows = [np.broadcast_to(a, shape) for a in (problem.mean, rect.lower, rect.upper)]
+        mean, lower, upper = (np.broadcast_to(a, shape)
+                              for a in (problem.mean, rect.lower, rect.upper))
     except ValueError:
         raise DimMismatch(f"{problem.mean.shape} and {rect.lower.shape} vs {shape}") from None
-    estimates = [
-        cdf_rectangle(problem.with_mean(mean), Rectangle(lo, hi), tol, seed)
-        for mean, lo, hi, seed in zip(*rows, seeds)
-    ]
-    for est in estimates:
-        if not est.tolerance_reached:
+    n = problem.dim
+    # Negate every variable whose interval is [lo, inf), so each half-line
+    # lies below, where ndtr keeps full relative precision (1 - ndtr(lo)
+    # cancels to 0 in a far upper tail).
+    sign = np.where(upper == np.inf, -1.0, 1.0)
+    lo, hi = np.sort(sign * (np.stack([lower, upper]) - mean), axis=0)
+    if n == 1:
+        sd = math.sqrt(problem.cov[0, 0])
+        values = ndtr(hi[:, 0] / sd) - ndtr(lo[:, 0] / sd)
+        return [CdfEstimate(float(v), 1e-15, 0, True) for v in values]
+
+    # Rows are ordered _CHUNK // n at a time, so the ordering's (rows, n, n)
+    # arrays hold about _CHUNK * n floats, less than a lattice chunk does,
+    # however many rows the batch has.
+    step = max(1, _CHUNK // n)
+    estimates = []
+    for row, seed in enumerate(seeds):
+        if row % step == 0:
+            part = slice(row, row + step)
+            flip = sign[part, :, None] * sign[part, None, :]
+            cho, tlo, thi, _ = _ordered_cholesky(problem.cov * flip, lo[part], hi[part])
+        rng = np.random.default_rng(seed)
+        n_points = 256
+        value, err = 0.0, math.inf
+        used = 0
+        while True:
+            shifts = rng.random((N_RANDOMIZATIONS, n - 1))
+            r = row % step
+            means, n_eval = _lattice_means(cho[r], tlo[r], thi[r], n_points, shifts)
+            used += n_eval
+            vi = float(means.mean())
+            ei = 3.0 * float(means.std(ddof=1)) / math.sqrt(N_RANDOMIZATIONS)
+            if math.isfinite(err) and ei > 0.0:
+                # Inverse-variance combination with earlier stages.
+                wt = 1.0 / (1.0 + (ei / err) ** 2) if err > 0.0 else 1.0
+                value += wt * (vi - value)
+                err = math.sqrt(wt) * ei
+            else:
+                value, err = vi, ei
+            reached = err <= tol * max(abs(value), 1e-300)
+            if reached or used >= MAX_SAMPLES:
+                break
+            n_points *= 2
+        value = min(max(value, 0.0), 1.0)
+        err = max(0.0, min(err, value + 1e-12, 1.0 - value + 1e-12))
+        if not reached:
             log.warning("joint probability tolerance %g not reached (error %.2e after %d samples)",
-                        tol, est.error_estimate, est.samples_used)
+                        tol, err, used)
+        estimates.append(CdfEstimate(value, err, used, reached))
     return estimates
+
+
+def cdf_rectangle(
+    problem: MvnProblem,
+    rect: Rectangle,
+    tol: float = DEFAULT_CDF_TOL,
+    seed: int = 0,
+) -> CdfEstimate:
+    """:func:`cdf_rectangles` for a single problem and rectangle, with ``seed``."""
+    if problem.mean.ndim != 1 or rect.lower.ndim != 1:
+        raise DimMismatch("rectangle probabilities take a single problem, not a batch")
+    return cdf_rectangles(problem, rect, [seed], tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,25 @@ class TestCorruption:
         with pytest.raises(CorruptCheckpoint, match="dims must be >= 1"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("what", ["standardization mean", "standardization std", "S",
+                                      "Lambda_raw", "W", "MLP weight 1", "MLP bias 0"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, what, bad):
+        # The CRC is computed over the bad bytes, so only a value check
+        # catches them.
+        params = sample_params()
+        tensor = {
+            "standardization mean": params.standardization.mean,
+            "standardization std": params.standardization.std,
+            "S": params.S, "Lambda_raw": params.Lambda_raw, "W": params.W,
+            "MLP weight 1": params.mlp.weights[1], "MLP bias 0": params.mlp.biases[0],
+        }[what]
+        tensor.flat[-1] = bad
+        path = tmp_path / "model.dmse"
+        save_checkpoint(params, path)
+        with pytest.raises(CorruptCheckpoint, match=f"non-finite value in {what}$"):
+            load_checkpoint(path)
+
     def test_flipped_byte_fails_crc(self, tmp_path):
         path = tmp_path / "model.dmse"
         save_checkpoint(sample_params(), path)

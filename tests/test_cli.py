@@ -146,6 +146,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.endswith("\n")
 
+    def test_non_finite_checkpoint_is_3(self, workspace, capsys, monkeypatch):
+        # The NaN passes the CRC; were it loaded, every integral would run its
+        # whole budget, and the small budget keeps such a failure quick.
+        monkeypatch.setattr(mvn, "MAX_SAMPLES", 10_000)
+        ws, data, cfg, model = workspace
+        params = load_checkpoint(model)
+        params.S[0, 0] = np.nan
+        bad = str(ws / "nan.dmse")
+        save_checkpoint(params, bad)
+        assert main(["eval", "--data", data, "--model", bad, "--tol", "1e-3"]) == 3
+        assert capsys.readouterr().err == "error: CorruptCheckpoint: non-finite value in S\n"
+
     def test_presence_diagnostic_names_row_and_column(self, tmp_path, capsys):
         data = write(tmp_path, "d.csv", "sp:a,env:x\n1,0.0\n2,0.0\n")
         cfg = write(tmp_path, "t.cfg", FAST_TRAIN)
@@ -471,6 +483,20 @@ class TestCvCommand:
         agg = (out / "aggregate.txt").read_text()
         assert "folds_completed = 3 of 3" in agg
         assert "joint_loglik_per_obs_mean" in agg
+
+    def test_seed_key_applies_unless_the_flag_overrides_it(self, workspace):
+        ws, data, cfg, model = workspace
+
+        def folds(name, *argv):
+            out = ws / name
+            assert main(["cv", "--data", data, "--config", cfg, "--k", "2",
+                         "--out-dir", str(out), "--set", "minibatch_size=4", *argv]) == 0
+            return [(out / f"fold_{i}.{ext}").read_bytes()
+                    for i in range(2) for ext in ("txt", "csv")]
+
+        assert folds("a", "--set", "seed=1") != folds("b", "--set", "seed=999")
+        assert (folds("c", "--set", "seed=1", "--seed", "3")
+                == folds("d", "--set", "seed=999", "--seed", "3"))
 
     def test_bad_k_is_config_error(self, workspace):
         ws, data, cfg, model = workspace

@@ -8,7 +8,6 @@ import pytest
 from dmse.dataio import (
     Dataset,
     SynthSpec,
-    filter_top_species,
     load_csv,
     load_features_csv,
     save_csv,
@@ -155,35 +154,6 @@ class TestStandardize:
         ds = Dataset(np.ones((len(feats), 1)), feats[:, None], ["a"], ["x"])
         out, stats = standardize(ds)
         np.testing.assert_allclose(out.features.ravel(), feats, atol=1e-12)
-
-
-class TestFilterTopSpecies:
-    def make(self):
-        # Presence counts: a=5, b=3, c=1.
-        presence = [[1, 1 if i < 3 else 0, 1 if i < 1 else 0] for i in range(5)]
-        return Dataset(presence, np.zeros((5, 1)), ["a", "b", "c"], ["x"])
-
-    def test_identity_when_k_equals_n(self):
-        ds = self.make()
-        out, coverage = filter_top_species(ds, 3)
-        assert out.species_names == ["a", "b", "c"]
-        assert coverage == 1.0
-
-    def test_counts_and_coverage(self):
-        out, coverage = filter_top_species(self.make(), 2)
-        assert out.species_names == ["a", "b"]
-        np.testing.assert_allclose(coverage, 8.0 / 9.0)
-
-    def test_tie_broken_by_name(self):
-        ds = Dataset([[1, 0, 1], [0, 1, 1]], [[0.0], [0.0]], ["zeta", "alpha", "mid"], ["x"])
-        out, _ = filter_top_species(ds, 2)
-        # mid has count 2; alpha and zeta tie at 1 -> alpha wins by name.
-        assert sorted(out.species_names) == ["alpha", "mid"]
-
-    def test_coverage_is_exact_ratio(self):
-        ds = self.make()
-        out, coverage = filter_top_species(ds, 1)
-        assert coverage == 5.0 / 9.0
 
 
 class TestSynthGenerate:

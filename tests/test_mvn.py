@@ -275,23 +275,69 @@ def _bounds(n, rng, cov):
     }
 
 
+_KINDS = ["equicorrelated", "negative", "random_spd", "rank_deficient"]
+
+
+def _assert_row_matches_loop(got, row, cov, lo, hi, msg):
+    """Row ``row`` of a batched ordering equals the reference loop bit for
+    bit: lower triangle, bounds and permutation, with the upper triangle 0."""
+    cho, lo_, hi_, perm = ordered_cholesky_loop(cov, lo, hi)
+    want = (np.tril(cho), lo_, hi_, perm)
+    for part, a, b in zip(("cho", "lo", "hi", "perm"), got, want):
+        np.testing.assert_array_equal(a[row], b, err_msg=f"{msg}: {part}")
+
+
 class TestOrderedCholesky:
-    """The vectorized ordering against the reference per-candidate loop."""
+    """The batched ordering against the reference per-candidate loop."""
 
     @pytest.mark.parametrize("n", [2, 5, 20, 100])
-    @pytest.mark.parametrize("kind", ["equicorrelated", "negative", "random_spd", "rank_deficient"])
+    @pytest.mark.parametrize("kind", _KINDS)
     def test_matches_loop(self, kind, n):
         rng = np.random.default_rng(n)
         cov = _covariance(kind, n, rng)
         for name, (lo, hi) in _bounds(n, rng, cov).items():
-            got = _ordered_cholesky(cov, lo, hi)
-            want = ordered_cholesky_loop(cov, lo, hi)
-            for part, a, b in zip(("cho", "lo", "hi", "perm"), got, want):
-                np.testing.assert_array_equal(a, b, err_msg=f"{name}: {part}")
-            assert sorted(got[3]) == list(range(n))
+            got = _ordered_cholesky(cov[None], lo[None], hi[None])
+            _assert_row_matches_loop(got, 0, cov, lo, hi, name)
+            assert sorted(got[3][0]) == list(range(n))
             if kind == "rank_deficient":
                 # Only d2 pivots survive; the rest are zeroed as exhausted.
-                assert np.count_nonzero(np.diag(got[0])) == max(1, n // 4)
+                assert np.count_nonzero(np.diag(got[0][0])) == max(1, n // 4)
+
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    def test_mixed_batch_rows_match_loop(self, n):
+        """One call orders rows of every covariance kind, sign-flipped as
+        cdf_rectangles flips half-lines, under every kind of bound: live
+        and exhausted rows share each step."""
+        rng = np.random.default_rng(100 + n)
+        rows = []
+        for kind in _KINDS:
+            cov = _covariance(kind, n, rng)
+            for name, bounds in _bounds(n, rng, cov).items():
+                sign = rng.choice([-1.0, 1.0], n)
+                lo, hi = np.sort(sign * np.array(bounds), axis=0)
+                rows.append((f"{kind}/{name}", cov * np.outer(sign, sign), lo, hi))
+        got = _ordered_cholesky(*(np.array([r[i] for r in rows]) for i in (1, 2, 3)))
+        for row, (msg, cov, lo, hi) in enumerate(rows):
+            _assert_row_matches_loop(got, row, cov, lo, hi, msg)
+        live = np.count_nonzero(np.diagonal(got[0], axis1=1, axis2=2), axis=1)
+        assert live.min() == max(1, n // 4) < live.max() == n
+
+    def test_memory_is_bounded_at_any_batch_size(self, monkeypatch):
+        """cdf_rectangles orders 1,000 rows at n=50 a slice at a time: one
+        ordering call over the whole batch peaked near 80 MiB."""
+        monkeypatch.setattr(mvn, "_lattice_means", lambda cho, lo, hi, n_points, shifts: (
+            shifts[:, 0], n_points))
+        rng = np.random.default_rng(41)
+        p = MvnProblem(rng.normal(size=(1000, 50)), random_correlation(rng, 50))
+        rect = Rectangle.from_presence(rng.integers(0, 2, (1000, 50)))
+        tracemalloc.start()
+        try:
+            got = cdf_rectangles(p, rect, range(1000), tol=math.inf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 1000 and all(est.tolerance_reached for est in got)
+        assert peak < 16 * 2**20
 
 
 class TestLatticeMeans:
@@ -302,7 +348,8 @@ class TestLatticeMeans:
     def test_matches_dense_pass(self, name, n):
         rng = np.random.default_rng(50 + n)
         cov = random_correlation(rng, n)
-        cho, lo, hi, _ = _ordered_cholesky(cov, *_bounds(n, rng, cov)[name])
+        lo, hi = _bounds(n, rng, cov)[name]
+        (cho,), (lo,), (hi,), _ = _ordered_cholesky(cov[None], lo[None], hi[None])
         for n_points in (256, _CHUNK, 5 * _CHUNK):
             shifts = rng.random((N_RANDOMIZATIONS, n - 1))
             gen, size = _cbc_lattice(n - 1, n_points)
@@ -354,7 +401,8 @@ class TestCdfRectangles:
     def test_one_rectangle_broadcasts_over_means(self):
         p, rect = MvnProblem(self.mean, self.cov), Rectangle.from_presence([1, 0, 1])
         got = cdf_rectangles(p, rect, range(4), tol=1e-4)
-        want = [cdf_rectangle(p.with_mean(m), rect, 1e-4, seed=s) for s, m in enumerate(self.mean)]
+        want = [cdf_rectangle(MvnProblem(m, self.cov), rect, 1e-4, seed=s)
+                for s, m in enumerate(self.mean)]
         assert got == want
 
     def test_one_mean_broadcasts_over_rectangles(self):
@@ -385,7 +433,7 @@ class TestCdfRectangles:
     def test_empty_batch(self):
         p = MvnProblem(np.zeros((0, 3)), self.cov)
         assert cdf_rectangles(p, Rectangle.from_presence(np.zeros((0, 3))), []) == []
-        one_mean = p.with_mean(np.zeros(3))
+        one_mean = MvnProblem(np.zeros(3), self.cov)
         assert cdf_rectangles(one_mean, Rectangle.from_presence([1, 1, 0]), []) == []
 
     @pytest.mark.parametrize("rows, bits, n_seeds", [
@@ -444,7 +492,7 @@ class TestSampleTruncated:
         assert np.all(draws < rect.upper)
         # Two observations in one call, with disjoint rectangles: each row
         # stays inside its own bounds.
-        batch = p.with_mean(np.stack([p.mean, -p.mean]))
+        batch = MvnProblem(np.stack([p.mean, -p.mean]), cov)
         rects = Rectangle.from_presence([[1, 0, 1], [0, 1, 0]])
         draws = sample_truncated(batch, rects, cfg, 2)
         assert draws.shape[0] == 2
@@ -504,12 +552,9 @@ class TestMvnProblem:
         with pytest.raises(TypeError):
             MvnProblem([0.0, 0.0], np.eye(2), precision=np.eye(2))
 
-    def test_with_mean_shares_factor_and_checks_shape(self):
-        p = MvnProblem(np.zeros(2), np.array([[1.0, 0.4], [0.4, 1.0]]))
-        q = p.with_mean(np.ones((3, 2)))
-        assert q.precision is p.precision
-        np.testing.assert_array_equal(q.mean, np.ones((3, 2)))
-        np.testing.assert_array_equal(p.mean, np.zeros(2))
+    def test_mean_shape_checked(self):
+        cov = np.array([[1.0, 0.4], [0.4, 1.0]])
+        np.testing.assert_array_equal(MvnProblem(np.ones((3, 2)), cov).mean, np.ones((3, 2)))
         for bad in (np.zeros(3), np.zeros((2, 2, 2))):
             with pytest.raises(DimMismatch):
-                p.with_mean(bad)
+                MvnProblem(bad, cov)

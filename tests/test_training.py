@@ -10,6 +10,7 @@ from dmse.dataio import SynthSpec, synth_from_truth, synth_generate, standardize
 from dmse.errors import ConfigError, InvalidK, NonFiniteGradient
 from dmse.evaluation import auc, evaluate
 from dmse.gradients import GradientBundle
+from dmse.mlp import MlpGrads
 from dmse.model import init_model_params, sigma_from_lambda
 from dmse.mvn import SamplerConfig
 from dmse.training import AdagradState, TrainConfig, adagrad_step, kfold_split, train
@@ -23,11 +24,16 @@ def scalar_model():
     return params
 
 
+def zero_bundle(params):
+    d_mlp = MlpGrads.zeros_like(params.mlp) if params.mlp is not None else None
+    return GradientBundle(np.zeros_like(params.S), np.zeros_like(params.Lambda_raw),
+                          np.zeros_like(params.W), d_mlp)
+
+
 def bundle_for(params, value_S=0.0, value_W=0.0):
-    b = GradientBundle.zeros_like(params)
+    b = zero_bundle(params)
     b.d_S += value_S
     b.d_W += value_W
-    b.n_obs = 1
     return b
 
 
@@ -97,13 +103,12 @@ class TestAdagradStep:
         rng = np.random.default_rng(8)
         prev_acc = state.acc_S.copy()
         for step in range(10_000):
-            b = GradientBundle.zeros_like(params)
+            b = zero_bundle(params)
             b.d_S += rng.normal(size=b.d_S.shape)
             b.d_Lambda_raw += rng.normal(size=b.d_Lambda_raw.shape)
             b.d_W += rng.normal(size=b.d_W.shape)
             for g in b.d_mlp.weights + b.d_mlp.biases:
                 g += rng.normal(size=g.shape)
-            b.n_obs = 1
             adagrad_step(params, state, b, cfg)
             if step % 1000 == 0:
                 assert np.all(state.acc_S >= prev_acc)
