@@ -5,14 +5,15 @@ Layout (all little-endian):
     bytes 0-3   magic ``DMSE``
     u16         format version (currently 1)
     u32 x 5     n_species, n_features, d1, d2, n_output
-    u16         number of layer dims (0 when the model has no network)
+    u16         number of layer dims (0 for the network with no layers)
     u32 x k     layer dims (input and output included)
     name table  n_species + n_features entries: u16 length + UTF-8 bytes
     f64 x m     standardization means
     f64 x m     standardization stds
     u8  x m     constant-feature flags
-    f64 tensors row-major: S (d1 x n), Lambda_raw (d2 x n),
-                W (d1 x n_output), then per network layer weight and bias
+    f64 tensors row-major, in ModelParams.tensors() order: S (d1 x n),
+                Lambda_raw (d2 x n), W (d1 x n_output), then per network
+                layer weight and bias
     u32         CRC-32 of everything above
 
 Saving the same parameters twice produces identical bytes, so training
@@ -51,7 +52,8 @@ def checkpoint_bytes(params: ModelParams) -> bytes:
     """Serialize parameters to the checkpoint byte layout."""
     params.validate()
     out = [MAGIC, struct.pack("<H", FORMAT_VERSION)]
-    layer_dims = params.mlp.layer_dims if params.mlp is not None else ()
+    # The network with no layers is written as 0 layer dims, not as (m,).
+    layer_dims = params.mlp.layer_dims if params.mlp.weights else ()
     out.append(
         struct.pack(
             "<5I",
@@ -71,13 +73,7 @@ def checkpoint_bytes(params: ModelParams) -> bytes:
     out.append(_pack_tensor(params.standardization.mean))
     out.append(_pack_tensor(params.standardization.std))
     out.append(np.asarray(params.standardization.constant, dtype=np.uint8).tobytes())
-    out.append(_pack_tensor(params.S))
-    out.append(_pack_tensor(params.Lambda_raw))
-    out.append(_pack_tensor(params.W))
-    if params.mlp is not None:
-        for w, b in zip(params.mlp.weights, params.mlp.biases):
-            out.append(_pack_tensor(w))
-            out.append(_pack_tensor(b))
+    out.extend(_pack_tensor(t) for t in params.tensors())
     body = b"".join(out)
     return body + struct.pack("<I", zlib.crc32(body))
 
@@ -140,31 +136,31 @@ def load_checkpoint(path) -> ModelParams:
     if min(n, m, d1, d2, n_output) < 1:
         raise CorruptCheckpoint(f"header dims must be >= 1, got {(n, m, d1, d2, n_output)}")
     (n_layer_dims,) = r.unpack("<H")
-    layer_dims = r.unpack(f"<{n_layer_dims}I") if n_layer_dims else ()
+    layer_dims = r.unpack(f"<{n_layer_dims}I")
+    if n_layer_dims == 1 or min(layer_dims, default=1) < 1:
+        raise CorruptCheckpoint(
+            f"layer dims must be >= 1 with at least two layers, got {layer_dims}"
+        )
+    layer_dims = layer_dims or (m,)
+    if layer_dims[0] != m or layer_dims[-1] != n_output:
+        raise CorruptCheckpoint("layer dims inconsistent with header dims")
     species_names = [r.name() for _ in range(n)]
     feature_names = [r.name() for _ in range(m)]
     mean = r.tensor("standardization mean", (m,))
     std = r.tensor("standardization std", (m,))
+    # FeatureStandardization.apply divides by std: 0 would turn a feature
+    # into inf, and a negative std is no standard deviation.
+    if not np.all(std > 0):
+        raise CorruptCheckpoint(f"standardization std must be > 0, got {float(std.min())}")
     constant = np.frombuffer(r.take(m), dtype=np.uint8).astype(bool)
     s_mat = r.tensor("S", (d1, n))
     lam = r.tensor("Lambda_raw", (d2, n))
     w = r.tensor("W", (d1, n_output))
-    if layer_dims:
-        if len(layer_dims) < 2 or min(layer_dims) < 1:
-            raise CorruptCheckpoint(
-                f"layer dims must be >= 1 with at least two layers, got {layer_dims}"
-            )
-        if layer_dims[0] != m or layer_dims[-1] != n_output:
-            raise CorruptCheckpoint("layer dims inconsistent with header dims")
-        weights, biases = [], []
-        for k in range(len(layer_dims) - 1):
-            weights.append(r.tensor(f"MLP weight {k}", (layer_dims[k + 1], layer_dims[k])))
-            biases.append(r.tensor(f"MLP bias {k}", (layer_dims[k + 1],)))
-        mlp = MlpParams(tuple(int(d) for d in layer_dims), weights, biases)
-    else:
-        if n_output != m:
-            raise CorruptCheckpoint("identity extractor requires n_output == n_features")
-        mlp = None
+    weights, biases = [], []
+    for k in range(len(layer_dims) - 1):
+        weights.append(r.tensor(f"MLP weight {k}", (layer_dims[k + 1], layer_dims[k])))
+        biases.append(r.tensor(f"MLP bias {k}", (layer_dims[k + 1],)))
+    mlp = MlpParams(layer_dims, weights, biases)
     if r.pos != len(body):
         raise CorruptCheckpoint(f"{len(body) - r.pos} trailing bytes")
     params = ModelParams(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch
-from .mlp import MlpGrads, MlpTape, mlp_backward
+from .mlp import MlpGrads, MlpTape, layer_tensors, mlp_backward
 from .model import ModelParams
 from .mvn import MvnProblem, Rectangle, SamplerConfig, sample_truncated
 
@@ -61,17 +61,16 @@ class GradientBundle:
     d_S: np.ndarray
     d_Lambda_raw: np.ndarray
     d_W: np.ndarray
-    d_mlp: MlpGrads | None
+    d_mlp: MlpGrads
+
+    def tensors(self) -> list[np.ndarray]:
+        """Gradients in the order of :meth:`dmse.model.ModelParams.tensors`."""
+        return [self.d_S, self.d_Lambda_raw, self.d_W] + layer_tensors(
+            self.d_mlp.weights, self.d_mlp.biases
+        )
 
     def is_finite(self) -> bool:
-        ok = (
-            np.all(np.isfinite(self.d_S))
-            and np.all(np.isfinite(self.d_Lambda_raw))
-            and np.all(np.isfinite(self.d_W))
-        )
-        if self.d_mlp is not None:
-            ok = ok and self.d_mlp.is_finite()
-        return bool(ok)
+        return all(np.all(np.isfinite(g)) for g in self.tensors())
 
 
 def grad_mu_sigma(
@@ -133,7 +132,7 @@ def assemble_bundle(
     params: ModelParams,
     l: np.ndarray,
     musig: MuSigmaGrad,
-    tape: MlpTape | None,
+    tape: MlpTape,
     h: np.ndarray,
 ) -> GradientBundle:
     """Chain-rule assembly of the parameter gradients, averaged over a minibatch.
@@ -153,13 +152,9 @@ def assemble_bundle(
     h = h.reshape(rows, -1)
     d_s = h.T @ d_mu / rows
     d_h = d_mu @ params.S.T
-    extractor_out = np.asarray(l, dtype=float) if tape is None else tape.output
-    d_w = d_h.T @ extractor_out.reshape(rows, -1) / rows
-    if params.mlp is None:
-        d_mlp = None
-    else:
-        grad_out = (d_h @ params.W / rows).reshape(tape.output.shape)
-        d_mlp, _ = mlp_backward(params.mlp, tape, grad_out)
+    d_w = d_h.T @ tape.output.reshape(rows, -1) / rows
+    grad_out = (d_h @ params.W / rows).reshape(tape.output.shape)
+    d_mlp, _ = mlp_backward(params.mlp, tape, grad_out)
     d_sigma = musig.d_sigma.reshape(-1, n, n).mean(axis=0)
     d_lambda = lambda_grad_from_sigma(params.Lambda_raw, d_sigma)
     return GradientBundle(d_s, d_lambda, d_w, d_mlp)

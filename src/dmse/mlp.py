@@ -3,7 +3,9 @@
 The network applies ``tanh`` on every hidden layer and the identity on the
 output layer; there is nothing else (no dropout, normalization, or
 convolution). Forward and backward are pure functions of the parameters
-and input.
+and input. The network with no layers, ``MlpParams((m,), [], [])``, is the
+identity: its forward pass returns the input and its backward pass
+returns no parameter gradients.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "MlpParams",
     "MlpTape",
     "MlpGrads",
+    "layer_tensors",
     "glorot_uniform",
     "mlp_init",
     "mlp_forward",
@@ -74,17 +77,10 @@ class MlpGrads:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    @classmethod
-    def zeros_like(cls, params: MlpParams) -> "MlpGrads":
-        return cls(
-            [np.zeros_like(w) for w in params.weights],
-            [np.zeros_like(b) for b in params.biases],
-        )
 
-    def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(w)) for w in self.weights) and all(
-            np.all(np.isfinite(b)) for b in self.biases
-        )
+def layer_tensors(weights, biases) -> list[np.ndarray]:
+    """Each layer's weight, then its bias, in layer order (checkpoint order)."""
+    return [t for pair in zip(weights, biases, strict=True) for t in pair]
 
 
 def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -134,7 +130,8 @@ def mlp_backward(
 
     Returns exact gradients with respect to every weight and bias, plus the
     gradient with respect to the input. Batched ``grad_output`` of shape
-    ``(B, n_output)`` accumulates parameter gradients over the batch.
+    ``(B, n_output)`` accumulates parameter gradients over the batch; a
+    single ``(n_output,)`` is a batch of one.
     """
     grad_output = np.asarray(grad_output, dtype=float)
     if grad_output.shape[-1] != params.n_output:
@@ -148,17 +145,13 @@ def mlp_backward(
     n_layers = len(params.weights)
     d_weights = [None] * n_layers
     d_biases = [None] * n_layers
-    delta = grad_output
+    delta = np.atleast_2d(grad_output)
     for k in range(n_layers - 1, -1, -1):
-        a_prev = tape.activations[k]
-        if delta.ndim == 1:
-            d_weights[k] = np.outer(delta, a_prev)
-            d_biases[k] = delta.copy()
-        else:
-            d_weights[k] = delta.T @ a_prev
-            d_biases[k] = delta.sum(axis=0)
+        d_weights[k] = delta.T @ np.atleast_2d(tape.activations[k])
+        d_biases[k] = delta.sum(axis=0)
         delta = delta @ params.weights[k]
         if k > 0:
             # Hidden layers are tanh: d tanh(z) = 1 - tanh(z)^2.
             delta = delta * (1.0 - tape.activations[k] ** 2)
-    return MlpGrads(d_weights, d_biases), delta
+    d_input = delta.reshape(grad_output.shape[:-1] + (params.n_input,))
+    return MlpGrads(d_weights, d_biases), d_input

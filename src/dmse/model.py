@@ -4,8 +4,8 @@ Each species ``j`` carries two embedding vectors: a habitat vector ``s_j``
 whose inner product with the environment embedding scores habitat
 suitability, and an interaction vector whose normalized inner products
 give inter-species latent correlations. The environment embedding is
-``W @ network(l)`` for an observation's feature vector ``l`` (or ``W @ l``
-when the model is configured without the network).
+``W @ network(l)`` for an observation's feature vector ``l``; the linear
+model's network has no layers, so its embedding is ``W @ l``.
 
 The joint probability of a presence/absence pattern is the probability
 that a latent normal vector with mean ``mu(l)`` and the learned
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, ZeroColumn
-from .mlp import MlpParams, MlpTape, glorot_uniform, mlp_forward, mlp_init
+from .mlp import MlpParams, MlpTape, glorot_uniform, layer_tensors, mlp_forward, mlp_init
 from .mvn import DEFAULT_CDF_TOL, CdfEstimate, MvnProblem, Rectangle, cdf_rectangles
 from .seeding import derive_seed
 
@@ -76,8 +76,10 @@ class ModelParams:
 
     ``S`` is ``(d1, n)`` with habitat embeddings as columns; ``Lambda_raw``
     is ``(d2, n)`` with un-normalized interaction embeddings as columns;
-    ``W`` is ``(d1, n_output)``. ``mlp`` may be None, in which case the
-    feature extractor is the identity and ``n_output == m``.
+    ``W`` is ``(d1, n_output)``. ``mlp`` is the feature network; the
+    linear model's is the network with no layers, ``MlpParams((m,), [], [])``
+    (so ``n_output == m``), which a checkpoint records as a layer-dims
+    count of 0. ``mlp=None`` is accepted and replaced by it.
     """
 
     species_names: list[str]
@@ -85,8 +87,12 @@ class ModelParams:
     S: np.ndarray
     Lambda_raw: np.ndarray
     W: np.ndarray
-    mlp: MlpParams | None
+    mlp: MlpParams
     standardization: FeatureStandardization
+
+    def __post_init__(self):
+        if self.mlp is None:
+            self.mlp = MlpParams((self.n_features,), [], [])
 
     @property
     def n_species(self) -> int:
@@ -108,6 +114,13 @@ class ModelParams:
     def n_output(self) -> int:
         return self.W.shape[1]
 
+    def tensors(self) -> list[np.ndarray]:
+        """The trainable tensors, in checkpoint order: S, Lambda_raw, W, then
+        each network layer's weight and bias."""
+        return [self.S, self.Lambda_raw, self.W] + layer_tensors(
+            self.mlp.weights, self.mlp.biases
+        )
+
     def validate(self) -> None:
         n, m = self.n_species, self.n_features
         if len(self.species_names) != n:
@@ -116,14 +129,10 @@ class ModelParams:
             raise DimMismatch("Lambda_raw column count does not match S")
         if self.W.shape[0] != self.d1:
             raise DimMismatch("W rows must equal d1")
-        if self.mlp is None:
-            if self.n_output != m:
-                raise DimMismatch("without an MLP, W columns must equal the feature count")
-        else:
-            if self.mlp.n_input != m:
-                raise DimMismatch("MLP input dim must equal the feature count")
-            if self.n_output != self.mlp.n_output:
-                raise DimMismatch("W columns must equal the MLP output dim")
+        if self.mlp.n_input != m:
+            raise DimMismatch("MLP input dim must equal the feature count")
+        if self.n_output != self.mlp.n_output:
+            raise DimMismatch("W columns must equal the MLP output dim")
         if self.standardization.mean.shape[0] != m:
             raise DimMismatch("standardization stats must cover every feature")
 
@@ -141,8 +150,8 @@ def init_model_params(
 
     Every matrix uses the same zero-mean uniform scheme as the network
     (half-width ``sqrt(6/(rows+cols))``), drawn from named sub-streams of
-    ``seed``. ``hidden_dims=None`` or an empty tuple builds the model
-    without a network (identity feature extractor).
+    ``seed``. ``hidden_dims=None`` or an empty tuple builds the linear
+    model, whose network has no layers.
     """
     species_names = list(species_names)
     feature_names = list(feature_names)
@@ -152,13 +161,11 @@ def init_model_params(
     hidden = tuple(hidden_dims) if hidden_dims else ()
     if hidden:
         mlp = mlp_init((m,) + hidden, derive_seed(seed, "init", "mlp"))
-        n_output = mlp.n_output
     else:
-        mlp = None
-        n_output = m
+        mlp = MlpParams((m,), [], [])
     s_mat = glorot_uniform(np.random.default_rng(derive_seed(seed, "init", "S")), d1, n)
     lam = glorot_uniform(np.random.default_rng(derive_seed(seed, "init", "Lambda")), d2, n)
-    w = glorot_uniform(np.random.default_rng(derive_seed(seed, "init", "W")), d1, n_output)
+    w = glorot_uniform(np.random.default_rng(derive_seed(seed, "init", "W")), d1, mlp.n_output)
     _reperturb_zero_columns(lam)
     params = ModelParams(
         species_names,
@@ -204,13 +211,12 @@ def sigma_from_lambda(lambda_raw: np.ndarray) -> np.ndarray:
 
 def mu_forward(
     params: ModelParams, l: np.ndarray
-) -> tuple[np.ndarray, MlpTape | None, np.ndarray]:
+) -> tuple[np.ndarray, MlpTape, np.ndarray]:
     """Latent means for standardized features ``(m,)`` or a batch ``(B, m)``.
 
-    Returns ``(mu, tape, h)`` where ``h = W @ extractor(l)`` is the
+    Returns ``(mu, tape, h)`` where ``h = W @ network(l)`` is the
     environment embedding and ``mu[j] = s_j . h``, each with the leading
-    axis of ``l``. The tape (None for the identity extractor) is retained
-    for backpropagation.
+    axis of ``l``. The network's tape is retained for backpropagation.
     """
     l = np.asarray(l, dtype=float)
     if l.ndim not in (1, 2) or l.shape[-1] != params.n_features:
@@ -218,10 +224,7 @@ def mu_forward(
             f"feature shape {l.shape} is neither ({params.n_features},) "
             f"nor (B, {params.n_features})"
         )
-    if params.mlp is None:
-        out, tape = l, None
-    else:
-        out, tape = mlp_forward(params.mlp, l)
+    out, tape = mlp_forward(params.mlp, l)
     h = out @ params.W.T
     return h @ params.S, tape, h
 

@@ -84,10 +84,15 @@ CHAINS = 32
 
 
 def _checked_mean(mean, n: int) -> np.ndarray:
-    """``mean`` as a float ``(n,)`` or ``(B, n)`` array, else DimMismatch."""
+    """``mean`` as a float ``(n,)`` or ``(B, n)`` array, else DimMismatch;
+    ValueError if an entry is NaN or infinite."""
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     if mean.ndim > 2 or mean.shape[-1] != n:
         raise DimMismatch(f"mean of shape {mean.shape} is neither ({n},) nor (B, {n})")
+    # Unchecked, a non-finite row would spend its whole integration budget
+    # and come back as nan with an error estimate of 0.
+    if not np.all(np.isfinite(mean)):
+        raise ValueError(f"mean has non-finite entries {mean[~np.isfinite(mean)]}")
     return mean
 
 
@@ -142,7 +147,8 @@ class MvnProblem:
     with :func:`cholesky` (one jitter retry; :class:`NotPositiveDefinite`
     if that fails), and keeps the inverse as ``precision``, which cannot be
     passed in. A mean of shape ``(B, n)`` makes a batch of ``B`` problems
-    that share the covariance and its factorization.
+    that share the covariance and its factorization; a NaN or infinite
+    mean entry raises ``ValueError``.
     """
 
     mean: np.ndarray

@@ -24,7 +24,7 @@ import numpy as np
 from .dataio import Dataset, standardize
 from .errors import ConfigError, InvalidK, NonFiniteGradient
 from .gradients import GradientBundle, assemble_bundle, grad_mu_sigma
-from .mlp import DEFAULT_HIDDEN_DIMS, MlpGrads
+from .mlp import DEFAULT_HIDDEN_DIMS
 from .model import (
     ModelParams,
     init_model_params,
@@ -54,8 +54,8 @@ class TrainConfig:
     ``cdf_tol`` is read only by ``dmse cv``, which evaluates each fold at
     this tolerance; :func:`train` never reads it (its logged estimate is
     always one lattice pass, and gradient estimation never integrates).
-    ``hidden_dims=()`` trains the model without the network (projection
-    of raw features only).
+    ``hidden_dims=()`` trains the linear model, whose network has no layers
+    (projection of raw features only).
     """
 
     learning_rate: float = 0.05
@@ -86,23 +86,15 @@ class TrainConfig:
 
 @dataclass
 class AdagradState:
-    """Per-tensor accumulators of squared gradients (entrywise, nondecreasing)."""
+    """Accumulators of squared gradients (entrywise, nondecreasing), one per
+    tensor of :meth:`~dmse.model.ModelParams.tensors`, in its order."""
 
-    acc_S: np.ndarray
-    acc_Lambda: np.ndarray
-    acc_W: np.ndarray
-    acc_mlp: MlpGrads | None
+    acc: list[np.ndarray]
     step: int = 0
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "AdagradState":
-        return cls(
-            np.zeros_like(params.S),
-            np.zeros_like(params.Lambda_raw),
-            np.zeros_like(params.W),
-            MlpGrads.zeros_like(params.mlp) if params.mlp is not None else None,
-            0,
-        )
+        return cls([np.zeros_like(t) for t in params.tensors()])
 
 
 @dataclass
@@ -143,14 +135,8 @@ def adagrad_step(
     if not bundle.is_finite():
         raise NonFiniteGradient(f"non-finite gradient at step {state.step}")
     lr, eps = cfg.learning_rate, cfg.adagrad_epsilon
-    _ascent(params.S, state.acc_S, bundle.d_S, lr, eps)
-    _ascent(params.Lambda_raw, state.acc_Lambda, bundle.d_Lambda_raw, lr, eps)
-    _ascent(params.W, state.acc_W, bundle.d_W, lr, eps)
-    if params.mlp is not None:
-        for w, a, g in zip(params.mlp.weights, state.acc_mlp.weights, bundle.d_mlp.weights):
-            _ascent(w, a, g, lr, eps)
-        for b, a, g in zip(params.mlp.biases, state.acc_mlp.biases, bundle.d_mlp.biases):
-            _ascent(b, a, g, lr, eps)
+    for tensor, acc, g in zip(params.tensors(), state.acc, bundle.tensors(), strict=True):
+        _ascent(tensor, acc, g, lr, eps)
     _reperturb_zero_columns(params.Lambda_raw)
     state.step += 1
     return params, state

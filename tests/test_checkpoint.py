@@ -1,5 +1,8 @@
 """Tests for the binary checkpoint format."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -48,11 +51,13 @@ class TestRoundTrip:
 
     def test_identity_extractor_roundtrip(self, tmp_path):
         params = sample_params(hidden=())
-        assert params.mlp is None
+        assert params.mlp == MlpParams((3,), [], [])
         path = tmp_path / "flat.dmse"
         save_checkpoint(params, path)
+        # The network with no layers is written as a layer-dims count of 0.
+        assert path.read_bytes()[26:28] == struct.pack("<H", 0)
         loaded = load_checkpoint(path)
-        assert loaded.mlp is None
+        assert loaded.mlp == MlpParams((3,), [], [])
         assert checkpoint_bytes(loaded) == path.read_bytes()
 
     def test_unicode_names(self, tmp_path):
@@ -64,16 +69,26 @@ class TestRoundTrip:
         assert load_checkpoint(path).species_names == ["Ardea cinérea", "チドリ"]
 
 
+def with_crc(body):
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def hand_built(case):
-    """Parameters no initializer makes, which ``checkpoint_bytes`` still writes."""
+    """Checkpoint bytes that no initializer makes, with a valid CRC."""
+    if case == "one-entry":
+        # checkpoint_bytes writes the network with no layers as a count of
+        # 0, so a count of 1 is spliced in after the 26 header bytes.
+        body = checkpoint_bytes(sample_params(hidden=()))[:-4]
+        return with_crc(body[:26] + struct.pack("<HI", 1, 3) + body[28:])
     params = sample_params(hidden=(5, 3))
     if case == "zero-d1":
         params.S, params.W = params.S[:0], params.W[:0]
-        return params
-    dims = {"one-entry": (3,), "zero-width": (3, 0, 3)}[case]
-    pairs = list(zip(dims[:-1], dims[1:]))
-    params.mlp = MlpParams(dims, [np.zeros((b, a)) for a, b in pairs], [np.zeros(b) for _, b in pairs])
-    return params
+    else:
+        dims = (3, 0, 3)
+        pairs = list(zip(dims[:-1], dims[1:]))
+        params.mlp = MlpParams(dims, [np.zeros((b, a)) for a, b in pairs],
+                               [np.zeros(b) for _, b in pairs])
+    return checkpoint_bytes(params)
 
 
 class TestCorruption:
@@ -81,8 +96,18 @@ class TestCorruption:
     def test_dims_below_one_rejected(self, tmp_path, case):
         # Valid CRC and sizes; only a dimension breaks the writers' rules.
         path = tmp_path / "model.dmse"
-        path.write_bytes(checkpoint_bytes(hand_built(case)))
+        path.write_bytes(hand_built(case))
         with pytest.raises(CorruptCheckpoint, match="dims must be >= 1"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("std", [0.0, -1.0])
+    def test_std_not_positive_rejected(self, tmp_path, std):
+        # Applying the standardization would divide by it.
+        params = sample_params()
+        params.standardization.std[1] = std
+        path = tmp_path / "model.dmse"
+        save_checkpoint(params, path)
+        with pytest.raises(CorruptCheckpoint, match=f"standardization std must be > 0, got {std}$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("what", ["standardization mean", "standardization std", "S",
@@ -127,11 +152,7 @@ class TestCorruption:
         raw = bytearray(path.read_bytes())
         raw[0:4] = b"NOPE"
         # Keep the CRC consistent so the magic check itself fires.
-        import struct
-        import zlib
-
-        body = bytes(raw[:-4])
-        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        path.write_bytes(with_crc(bytes(raw[:-4])))
         with pytest.raises(CorruptCheckpoint, match="magic"):
             load_checkpoint(path)
 
@@ -145,10 +166,6 @@ class TestCorruption:
         path = tmp_path / "model.dmse"
         save_checkpoint(sample_params(), path)
         raw = path.read_bytes()
-        import struct
-        import zlib
-
-        body = raw[:-4] + b"\x00" * 16
-        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        path.write_bytes(with_crc(raw[:-4] + b"\x00" * 16))
         with pytest.raises(CorruptCheckpoint):
             load_checkpoint(path)

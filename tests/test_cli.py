@@ -158,6 +158,19 @@ class TestExitCodes:
         assert main(["eval", "--data", data, "--model", bad, "--tol", "1e-3"]) == 3
         assert capsys.readouterr().err == "error: CorruptCheckpoint: non-finite value in S\n"
 
+    def test_zero_std_checkpoint_is_3(self, workspace, capsys, monkeypatch):
+        # std = 0 passes the CRC; applied, it would make a feature infinite.
+        monkeypatch.setattr(mvn, "MAX_SAMPLES", 10_000)
+        ws, data, cfg, model = workspace
+        params = load_checkpoint(model)
+        params.standardization.std[0] = 0.0
+        bad = str(ws / "zero-std.dmse")
+        save_checkpoint(params, bad)
+        assert main(["eval", "--data", data, "--model", bad, "--tol", "1e-3"]) == 3
+        assert capsys.readouterr().err == (
+            "error: CorruptCheckpoint: standardization std must be > 0, got 0.0\n"
+        )
+
     def test_presence_diagnostic_names_row_and_column(self, tmp_path, capsys):
         data = write(tmp_path, "d.csv", "sp:a,env:x\n1,0.0\n2,0.0\n")
         cfg = write(tmp_path, "t.cfg", FAST_TRAIN)

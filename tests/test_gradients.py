@@ -371,9 +371,14 @@ class TestAssembleBundle:
 
 class TestGradientBundle:
     def test_is_finite_detects_nan(self):
-        params = tiny_model(seed=3)
-        b = GradientBundle(np.zeros_like(params.S), np.zeros_like(params.Lambda_raw),
-                           np.zeros_like(params.W), MlpGrads.zeros_like(params.mlp))
-        assert b.is_finite()
-        b.d_W[0, 0] = np.nan
-        assert not b.is_finite()
+        # S, Lambda_raw, W, then weight and bias of each of the two layers.
+        params = tiny_model(seed=3, hidden=(3, 2))
+        for position in range(7):
+            zeros = [np.zeros_like(t) for t in (
+                params.S, params.Lambda_raw, params.W, params.mlp.weights[0],
+                params.mlp.biases[0], params.mlp.weights[1], params.mlp.biases[1])]
+            d_s, d_lam, d_w, d_w0, d_b0, d_w1, d_b1 = zeros
+            b = GradientBundle(d_s, d_lam, d_w, MlpGrads([d_w0, d_w1], [d_b0, d_b1]))
+            assert b.is_finite()
+            zeros[position].flat[-1] = np.nan
+            assert not b.is_finite(), f"NaN at tensor {position} not caught"

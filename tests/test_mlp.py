@@ -33,7 +33,8 @@ def flatten_params(params):
 
 def fd_param_grads(params, x, grad_output, h=1e-5):
     """Central finite differences of <grad_output, net(x)> per parameter."""
-    grads = MlpGrads.zeros_like(params)
+    grads = MlpGrads([np.zeros_like(w) for w in params.weights],
+                     [np.zeros_like(b) for b in params.biases])
     for store, out in ((params.weights, grads.weights), (params.biases, grads.biases)):
         for tensor, g in zip(store, out):
             flat = tensor.reshape(-1)
@@ -181,7 +182,8 @@ class TestBackward:
         gs = rng.normal(size=(5, 2))
         _, tape = mlp_forward(params, xs)
         batch_grads, _ = mlp_backward(params, tape, gs)
-        acc = MlpGrads.zeros_like(params)
+        acc = MlpGrads([np.zeros_like(w) for w in params.weights],
+                       [np.zeros_like(b) for b in params.biases])
         for i in range(5):
             _, tape_i = mlp_forward(params, xs[i])
             g_i, _ = mlp_backward(params, tape_i, gs[i])

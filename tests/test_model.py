@@ -123,7 +123,7 @@ class TestMuForward:
         params = direct_params(2, np.eye(2))
         l = np.array([0.7, -0.2])
         mu, tape, h = mu_forward(params, l)
-        assert tape is None
+        np.testing.assert_array_equal(tape.output, l)
         np.testing.assert_array_equal(mu, l)
 
     def test_dim_mismatch(self):
@@ -292,7 +292,7 @@ class TestInitModelParams:
     def test_no_mlp_requires_square_W(self):
         params = init_model_params(["a", "b"], ["x", "y", "z"], d1=4, d2=4,
                                    hidden_dims=(), seed=0)
-        assert params.mlp is None
+        assert params.mlp.layer_dims == (3,) and params.mlp.weights == []
         assert params.W.shape == (4, 3)
 
     def test_validate_rejects_inconsistent(self):

@@ -558,3 +558,12 @@ class TestMvnProblem:
         for bad in (np.zeros(3), np.zeros((2, 2, 2))):
             with pytest.raises(DimMismatch):
                 MvnProblem(bad, cov)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(2,), (3, 2)], ids=["row", "batch"])
+    def test_non_finite_mean_rejected(self, bad, shape):
+        # Accepted, such a row would run the integrator's whole budget.
+        mean = np.zeros(shape)
+        mean.flat[-1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            MvnProblem(mean, np.eye(2))

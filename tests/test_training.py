@@ -25,7 +25,8 @@ def scalar_model():
 
 
 def zero_bundle(params):
-    d_mlp = MlpGrads.zeros_like(params.mlp) if params.mlp is not None else None
+    d_mlp = MlpGrads([np.zeros_like(w) for w in params.mlp.weights],
+                     [np.zeros_like(b) for b in params.mlp.biases])
     return GradientBundle(np.zeros_like(params.S), np.zeros_like(params.Lambda_raw),
                           np.zeros_like(params.W), d_mlp)
 
@@ -60,7 +61,7 @@ class TestAdagradStep:
         before = params.S.copy()
         adagrad_step(params, state, bundle_for(params), quick_cfg())
         np.testing.assert_array_equal(params.S, before)
-        np.testing.assert_array_equal(state.acc_S, 0.0)
+        np.testing.assert_array_equal(state.acc[0], 0.0)
 
     def test_first_step_scalar_formula(self):
         # Ascent step lr*g/(sqrt(g^2)+eps) with g=2, lr=0.1 is ~0.1.
@@ -93,7 +94,30 @@ class TestAdagradStep:
         with pytest.raises(NonFiniteGradient):
             adagrad_step(params, state, bundle, quick_cfg())
         np.testing.assert_array_equal(params.S, before)
-        np.testing.assert_array_equal(state.acc_S, 0.0)
+        np.testing.assert_array_equal(state.acc[0], 0.0)
+
+    def test_one_step_moves_every_tensor_by_its_own_gradient(self):
+        # Every tensor is 4x4 or length 4, and each gradient is distinct, so
+        # dropping or reordering an entry of tensors() changes the result.
+        def listed(p):
+            return [p.S, p.Lambda_raw, p.W, p.mlp.weights[0], p.mlp.biases[0],
+                    p.mlp.weights[1], p.mlp.biases[1]]
+
+        params = init_model_params(list("abcd"), list("wxyz"), d1=4, d2=4,
+                                   hidden_dims=(4, 4), seed=5)
+        before = [t.copy() for t in listed(params)]
+        rng = np.random.default_rng(12)
+        grads = [(k + 1) * rng.uniform(0.5, 1.0, t.shape) * rng.choice([-1.0, 1.0], t.shape)
+                 for k, t in enumerate(before)]
+        d_s, d_lam, d_w, d_w0, d_b0, d_w1, d_b1 = (g.copy() for g in grads)
+        bundle = GradientBundle(d_s, d_lam, d_w, MlpGrads([d_w0, d_w1], [d_b0, d_b1]))
+        state = AdagradState.zeros_like(params)
+        cfg = quick_cfg(learning_rate=0.1)
+        adagrad_step(params, state, bundle, cfg)
+        assert len(state.acc) == len(grads)
+        for t0, t1, g, acc in zip(before, listed(params), grads, state.acc):
+            np.testing.assert_array_equal(t1, t0 + 0.1 * g / (np.abs(g) + cfg.adagrad_epsilon))
+            np.testing.assert_array_equal(acc, g * g)
 
     def test_accumulators_monotone_and_params_finite_10k_random_steps(self):
         params = init_model_params(["a", "b"], ["x", "y"], d1=3, d2=3,
@@ -101,7 +125,7 @@ class TestAdagradStep:
         state = AdagradState.zeros_like(params)
         cfg = quick_cfg(learning_rate=0.05)
         rng = np.random.default_rng(8)
-        prev_acc = state.acc_S.copy()
+        prev_acc = state.acc[0].copy()
         for step in range(10_000):
             b = zero_bundle(params)
             b.d_S += rng.normal(size=b.d_S.shape)
@@ -111,8 +135,8 @@ class TestAdagradStep:
                 g += rng.normal(size=g.shape)
             adagrad_step(params, state, b, cfg)
             if step % 1000 == 0:
-                assert np.all(state.acc_S >= prev_acc)
-                prev_acc = state.acc_S.copy()
+                assert np.all(state.acc[0] >= prev_acc)
+                prev_acc = state.acc[0].copy()
         assert np.all(np.isfinite(params.S))
         assert np.all(np.isfinite(params.Lambda_raw))
         assert np.all(np.isfinite(params.W))
