@@ -359,9 +359,11 @@ def cmd_synth(args) -> int:
         entries["seed"] = str(derive_seed(args.seed, "synth"))
     spec = _build_synth_spec(entries)
     dataset, truth = dataio.synth_generate(spec)
+    # Serialized first, so a failure leaves neither file half written.
+    truth_text = json.dumps(truth.to_jsonable(), indent=1)
     dataio.save_csv(dataset, args.out)
     with open(args.out + ".truth.json", "w", encoding="utf-8") as fh:
-        json.dump(truth.to_jsonable(), fh, indent=1)
+        fh.write(truth_text)
     print(f"wrote dataset {args.out} and ground truth {args.out}.truth.json")
     return 0
 

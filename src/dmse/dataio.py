@@ -293,14 +293,19 @@ class GroundTruth:
     true_sigma: np.ndarray
 
     def to_jsonable(self) -> dict:
-        return {
-            "map_kind": self.map_kind,
-            "map_params": {
-                k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                for k, v in self.map_params.items()
-            },
-            "true_sigma": self.true_sigma.tolist(),
-        }
+        return _jsonable({"map_kind": self.map_kind, "map_params": self.map_params,
+                          "true_sigma": self.true_sigma})
+
+
+def _jsonable(value):
+    """``value`` with every array, also inside lists and dicts, as nested lists."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    return value
 
 
 def _raw_mu(kind: str, params: dict, feats: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own integration and
 sampling paths: probabilities come from dense tensor-product quadrature of
 the closed-form density, from a one-dimensional integral over the common
 factor of an equicorrelated normal, or from brute-force rejection sampling,
-and gradients come from central finite differences. The oracles are
+and gradients come from central finite differences; the gradient of
+Botev's tilting objective is taken in 50-digit arithmetic. The oracles are
 themselves cross-checked against closed forms in test_oracles.py.
 
 Two are reference copies of the integrator's earlier, unvectorized
@@ -208,14 +209,20 @@ def ordered_cholesky_loop(cov, lower, upper, singular_tol=1e-10):
     return cho, lo, hi, perm
 
 
-def lattice_means_dense(cho, lo, hi, gen, n_points, shifts):
+def lattice_means_dense(cho, lo, hi, gen, n_points, shifts, mu=None):
     """Reference lattice pass: ``(R,)`` shift means over all points at once.
 
     ``gen`` is the lattice generator for exactly ``n_points`` points; every
-    bound goes through ``ndtr``, infinite or not.
+    bound goes through ``ndtr``, infinite or not. A tilt ``mu`` draws
+    coordinate ``k`` shifted by ``mu_k`` and adds
+    ``-mu_k^2 / 2 - mu_k y_k`` to each point's log weight, one coordinate
+    at a time.
     """
     n = cho.shape[0]
     dim = n - 1
+    mu = np.zeros(dim) if mu is None else np.asarray(mu)
+    lo = lo - cho[:, :dim] @ mu
+    hi = hi - cho[:, :dim] @ mu
     k = np.arange(1, n_points + 1, dtype=float)[:, None]
     base = (k * np.asarray(gen)[None, :]) % 1.0
     r = shifts.shape[0]
@@ -232,4 +239,34 @@ def lattice_means_dense(cho, lo, hi, gen, n_points, shifts):
         c = ndtr(lo[i] - s)
         d = ndtr(hi[i] - s)
         pv = pv * (d - c)
+    if mu.any():
+        log_w = np.zeros(r * n_points)
+        for k in range(dim):
+            log_w -= 0.5 * mu[k] ** 2 + mu[k] * y[k]
+        with np.errstate(divide="ignore"):
+            pv = np.exp(np.log(pv) + log_w)
     return pv.reshape(r, n_points).mean(axis=1)
+
+
+def botev_gradient(cho, lo, hi, x, mu):
+    """Gradient of Botev's ``psi(x, mu)`` on an ordering, ``(d/dx, d/dmu)``.
+
+    ``psi = sum_k mu_k^2 / 2 - x_k mu_k + log(Phi(u_k) - Phi(l_k))`` with
+    ``l_k = lo_k - mu_k - sum_{j<k} cho_kj x_j`` (``u_k`` alike) and
+    ``x_{n-1} = mu_{n-1} = 0``. Each ``d/dmu_k log(Phi(u_k) - Phi(l_k))`` is
+    taken in 50-digit arithmetic, so no tail cancels.
+    """
+    import mpmath  # installed with sympy; only this oracle needs it
+
+    n = len(lo)
+    xf, muf = np.append(x, 0.0), np.append(mu, 0.0)
+    p = np.zeros(n)
+    with mpmath.workdps(50):
+        for k in range(n):
+            s = sum(float(cho[k, j]) * xf[j] for j in range(k))
+            a, b = (mpmath.mpf(float(v)) - muf[k] - s for v in (lo[k], hi[k]))
+            mass = mpmath.ncdf(b) - mpmath.ncdf(a)
+            p[k] = float((mpmath.npdf(a) - mpmath.npdf(b)) / mass)
+    m = n - 1
+    d_x = np.array([sum(cho[k, j] * p[k] for k in range(j + 1, n)) for j in range(m)]) - mu
+    return d_x, mu - x + p[:m]

@@ -531,6 +531,23 @@ class TestSynthCommand:
         sigma = np.array(truth["true_sigma"])
         np.testing.assert_allclose(sigma[0, 1], 0.5)
 
+    def test_mlp_random_truth_reloads(self, tmp_path):
+        """The mlp-random map's truth file (lists of weight and bias arrays)
+        reloads into a process that redraws the written dataset."""
+        from dmse.dataio import GroundTruth, load_csv, synth_from_truth
+
+        spec = write(tmp_path, "s.cfg", SYNTH_SPEC.replace("linear", "mlp-random"))
+        out = tmp_path / "synth.csv"
+        assert main(["synth", "--spec-config", spec, "--out", str(out)]) == 0
+        raw = json.loads((tmp_path / "synth.csv.truth.json").read_text())
+        assert raw["map_kind"] == "mlp-random"
+        assert [np.shape(w) for w in raw["map_params"]["weights"]] == [(32, 2), (32, 32), (2, 32)]
+        truth = GroundTruth(raw["map_kind"], raw["map_params"], np.array(raw["true_sigma"]))
+        again = synth_from_truth(truth, 48, seed=4)
+        written = load_csv(out)
+        np.testing.assert_array_equal(written.presence, again.presence)
+        np.testing.assert_allclose(written.features, again.features, rtol=1e-12)
+
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         spec = write(tmp_path, "s.cfg", SYNTH_SPEC + "volume = 11\n")
         code = main(["synth", "--spec-config", spec, "--out", str(tmp_path / "x.csv")])
