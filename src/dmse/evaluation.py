@@ -17,7 +17,7 @@ from scipy.special import log_ndtr, ndtr
 
 from .dataio import Dataset, apply_standardization
 from .errors import DegenerateLabels, DimMismatch
-from .model import ModelParams, joint_estimates, mu_forward, sum_log_values
+from .model import ModelParams, joint_estimates_at, mu_forward, sum_log_values
 from .seeding import derive_seed
 
 __all__ = ["EvalReport", "auc", "evaluate"]
@@ -31,8 +31,9 @@ class EvalReport:
     has a single class in the data (AUC undefined, reported absent rather
     than 0.5). Log-likelihoods are totals over the dataset. Integrator
     health comes from the same row estimates as ``joint_loglik``:
-    ``tol_misses`` counts rows that missed the tolerance, and
-    ``max_rel_err`` is the largest ``error_estimate / value`` of a row.
+    ``tol_misses`` counts rows that missed the tolerance,
+    ``max_rel_err`` is the largest ``error_estimate / value`` of a row, and
+    ``samples_used`` is the total of integrand evaluations.
     """
 
     per_species_auc: dict
@@ -42,6 +43,7 @@ class EvalReport:
     n_obs: int
     tol_misses: int
     max_rel_err: float
+    samples_used: int
 
     def to_text(self) -> str:
         lines = [
@@ -53,6 +55,7 @@ class EvalReport:
             f"mean_auc = {self.mean_auc!r}",
             f"tol_misses = {self.tol_misses}",
             f"max_rel_err = {self.max_rel_err!r}",
+            f"samples_used = {self.samples_used}",
         ]
         for name, value in self.per_species_auc.items():
             lines.append(f"auc[{name}] = {'absent' if value is None else repr(value)}")
@@ -68,6 +71,7 @@ class EvalReport:
             writer.writerow(["mean_auc", "", repr(self.mean_auc)])
             writer.writerow(["tol_misses", "", self.tol_misses])
             writer.writerow(["max_rel_err", "", repr(self.max_rel_err)])
+            writer.writerow(["samples_used", "", self.samples_used])
             for name, value in self.per_species_auc.items():
                 writer.writerow(["auc", name, "" if value is None else repr(value)])
 
@@ -114,9 +118,10 @@ def evaluate(
     Features are standardized with the model's stored statistics and mapped
     to latent means once. Those means give the AUC scores ``Phi(mu)`` and
     the independent log-likelihood, the closed-form probit factorization
-    under the identity correlation. One :func:`joint_estimates` pass gives
-    the joint log-likelihood and its integrator health. Raises
-    :class:`DimMismatch` for a dataset of another schema or with no rows.
+    under the identity correlation. One :func:`joint_estimates_at` pass at
+    the same means gives the joint log-likelihood and its integrator
+    health. Raises :class:`DimMismatch` for a dataset of another schema or
+    with no rows.
     """
     if dataset.species_names != params.species_names:
         missing = set(params.species_names) - set(dataset.species_names)
@@ -145,12 +150,11 @@ def evaluate(
         defined.append(value)
     mean_auc = float(np.mean(defined)) if defined else float("nan")
 
-    estimates = joint_estimates(
-        params, presence, std_data.features, cdf_tol, derive_seed(seed, "joint")
-    )
+    estimates = joint_estimates_at(params, presence, mu, cdf_tol, derive_seed(seed, "joint"))
     independent = float(np.sum(log_ndtr((2.0 * presence - 1.0) * mu)))
     return EvalReport(
         per_species, mean_auc, sum_log_values(estimates), independent, len(dataset),
         tol_misses=sum(not est.tolerance_reached for est in estimates),
         max_rel_err=max(est.error_estimate / max(est.value, 1e-300) for est in estimates),
+        samples_used=sum(est.samples_used for est in estimates),
     )

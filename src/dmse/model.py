@@ -38,6 +38,7 @@ __all__ = [
     "sigma_from_lambda",
     "mu_forward",
     "joint_estimates",
+    "joint_estimates_at",
     "sum_log_values",
     "log_likelihood",
 ]
@@ -248,6 +249,18 @@ def joint_estimates(
     if features.ndim != 2 or presence.shape != (len(features), params.n_species):
         raise DimMismatch(f"presence {presence.shape} does not match features {features.shape}")
     mu, _, _ = mu_forward(params, features)
+    return joint_estimates_at(params, presence, mu, tol, seed)
+
+
+def joint_estimates_at(
+    params: ModelParams,
+    presence: np.ndarray,
+    mu: np.ndarray,
+    tol: float = DEFAULT_CDF_TOL,
+    seed: int = 0,
+) -> list[CdfEstimate]:
+    """:func:`joint_estimates` at ``(N, n)`` latent means already mapped
+    from the features, with the same seeds."""
     problem = MvnProblem(mu, sigma_from_lambda(params.Lambda_raw))
     seeds = [seed ^ i for i in range(len(mu))]
     return cdf_rectangles(problem, Rectangle.from_presence(presence), seeds, tol)

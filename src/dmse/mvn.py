@@ -14,10 +14,11 @@ gradients:
   of many rows in each pass, then integrates row by row and logs each row
   that misses its tolerance. :func:`cdf_rectangle` is its one-row case.
   Only the tolerance, up to :data:`MAX_SAMPLES`, decides how long an
-  integral runs. At a finite tolerance, rows of three or more variables
-  that lie outside the bulk are integrated under Botev's minimax tilt,
-  found by one batched Newton solve per slice of ordered rows;
-  ``tol=math.inf`` is one untilted pass.
+  integral runs: each pass after the first is sized from the error it
+  must close, and the budget caps a row's evaluations. At a finite
+  tolerance, rows of three or more variables that lie outside the bulk
+  are integrated under Botev's minimax tilt, found by one batched Newton
+  solve per slice of ordered rows; ``tol=math.inf`` is one untilted pass.
   Lattice points are made in fixed-size chunks, so memory is
   O(chunk * n) at any point count, and an infinite bound costs no
   ``ndtr`` call.
@@ -64,8 +65,8 @@ N_RANDOMIZATIONS = 12
 #: Default relative tolerance for rectangle probabilities.
 DEFAULT_CDF_TOL = 1e-6
 
-#: Integrand-evaluation budget per row of a cdf_rectangles call (a budget,
-#: not a cap: the last lattice pass starts below it and may overrun it).
+#: Integrand-evaluation cap per row of a cdf_rectangles call, past the first
+#: lattice pass (3,084 evaluations), which always runs.
 MAX_SAMPLES = 10_000_000
 
 #: Lattice points per chunk of an integrand pass, which bounds its memory;
@@ -189,8 +190,9 @@ class CdfEstimate:
 
     ``error_estimate`` is three standard errors across the independent
     lattice randomizations, clipped so the uncertainty interval stays
-    inside [0, 1]. ``tolerance_reached`` is False when the sample budget
-    ran out first.
+    inside [0, 1]. ``samples_used`` counts integrand evaluations, at most
+    ``max(MAX_SAMPLES, 3084)``; ``tolerance_reached`` is False when the
+    budget ran out first.
     """
 
     value: float
@@ -320,6 +322,21 @@ def _primitive_root(p: int) -> int:
     return r
 
 
+def _powers_mod(g: int, m: int, n: int) -> np.ndarray:
+    """``g**j % n`` for ``j < m``, as int64, for ``n < 2**31``.
+
+    Filled by blocks that double: the entries from ``k`` on are those
+    before ``k`` times ``g**k``, so the products stay below ``2**62``.
+    """
+    out = np.ones(m, dtype=np.int64)
+    k = 1
+    while k < m:
+        step = min(k, m - k)
+        out[k : k + step] = out[:step] * pow(g, k, n) % n
+        k += step
+    return out
+
+
 @lru_cache(maxsize=64)
 def _cbc_lattice(dim: int, n_points: int) -> tuple[tuple[float, ...], int]:
     """Rank-1 lattice generator via the fast component-by-component build.
@@ -335,9 +352,7 @@ def _cbc_lattice(dim: int, n_points: int) -> tuple[tuple[float, ...], int]:
     z = np.arange(1, dim + 1, dtype=float)
     m = (n - 1) // 2
     g = _primitive_root(n)
-    perm = np.ones(m, dtype=np.int64)
-    for j in range(m - 1):
-        perm[j + 1] = (g * perm[j]) % n
+    perm = _powers_mod(g, m, n)
     perm = np.minimum(n - perm, perm)
     pn = perm / n
     c = pn * pn - pn + 1.0 / 6.0
@@ -580,17 +595,23 @@ def cdf_rectangles(
     ratio, which keeps the weights bounded far out in a tail. A row whose
     probability bound from the solve is 0.1 or more, whose ordering
     exhausted a pivot, or whose solve does not converge, is integrated
-    untilted. A row's point count doubles until
-    ``error_estimate <= tol * max(value, 1e-300)`` or :data:`MAX_SAMPLES`
-    is spent, in which case its estimate is returned with
-    ``tolerance_reached=False`` and logged as one WARNING. A pass starts
-    only while fewer evaluations have been used, so the last pass may take
-    a row's total to nearly twice the budget.
+    untilted. A row runs passes until
+    ``error_estimate <= tol * max(value, 1e-300)``. Each pass after the
+    first is sized, on the premise that a pass's error falls as
+    1/points, to close that gap once combined with the earlier passes,
+    growing 1x to 16x on the last; ``tol=0`` grows 16x. :data:`MAX_SAMPLES`
+    caps a row's evaluations past its first pass: a pass is clipped to the
+    budget left, and a row with less than 256 points a shift left stops,
+    is returned with ``tolerance_reached=False`` and is logged as one
+    WARNING. A NaN or negative ``tol`` raises ``ValueError``.
 
     ``tol=math.inf`` is met by any finite first estimate, so it means
     exactly one untilted pass per row, with no solve: 12 shifts of 257
     points, 3,084 evaluations.
     """
+    # A NaN tolerance is never met, so every row would run to the budget.
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     seeds = list(seeds)
     shape = (len(seeds), problem.dim)
     try:
@@ -648,10 +669,24 @@ def cdf_rectangles(
                 err = math.sqrt(wt) * ei
             else:
                 value, err = vi, ei
-            reached = err <= tol * max(abs(value), 1e-300)
-            if reached or used >= MAX_SAMPLES:
+            target = tol * max(abs(value), 1e-300)
+            reached = err <= target
+            # The budget is a cap: the next pass gets at most what is left
+            # of it, and a row stops once that is under 256 points a shift.
+            # _cbc_lattice may round a count up by one, hence ``left - 1``.
+            left = (MAX_SAMPLES - used) // N_RANDOMIZATIONS
+            if reached or left < 256:
                 break
-            n_points *= 2
+            # A pass's error falls about as 1/points, so N' points, combined
+            # with ``err`` as above, meet ``target`` once
+            # N' >= n_points * need / target. Growth is kept within 1x..16x:
+            # one 16x pass costs 16 times the last, where doubling up to it
+            # spends 30 times, and the cap bounds the overshoot on rows whose
+            # error falls faster, such as n = 2. ``tol=0`` takes the 16x at
+            # once, without dividing by 0.
+            need = ei * math.sqrt(1.0 - (target / err) ** 2)
+            growth = 16.0 if need >= 16.0 * target else max(1.0, need / target)
+            n_points = min(int(n_points * growth), left - 1)
         value = min(max(value, 0.0), 1.0)
         err = max(0.0, min(err, value + 1e-12, 1.0 - value + 1e-12))
         if not reached:

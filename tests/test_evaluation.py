@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import log_ndtr
 
-from dmse import mvn
+from dmse import evaluation, model, mvn
 from dmse.dataio import Dataset
 from dmse.errors import DegenerateLabels, DimMismatch
 from dmse.evaluation import auc, evaluate
@@ -176,6 +176,7 @@ class TestEvaluate:
         assert "joint_loglik" in text and "mean_auc" in text
         assert f"tol_misses = {report.tol_misses}\n" in text
         assert f"max_rel_err = {report.max_rel_err!r}\n" in text
+        assert f"samples_used = {report.samples_used}\n" in text
         path = tmp_path / "report.csv"
         report.write_csv(path)
         rows = path.read_text().splitlines()
@@ -183,10 +184,12 @@ class TestEvaluate:
         assert any(row.startswith("auc,s0,") for row in rows)
         assert f"tol_misses,,{report.tol_misses}" in rows
         assert f"max_rel_err,,{report.max_rel_err!r}" in rows
+        assert f"samples_used,,{report.samples_used}" in rows
 
 
 class TestIntegratorHealth:
-    """``tol_misses`` and ``max_rel_err`` come from the joint-likelihood pass."""
+    """``tol_misses``, ``max_rel_err`` and ``samples_used`` come from the
+    joint-likelihood pass."""
 
     def setup_method(self):
         rng = np.random.default_rng(30)
@@ -216,3 +219,23 @@ class TestIntegratorHealth:
                                1e-12, derive_seed(33, "joint"))
         assert report.max_rel_err == max(e.error_estimate / e.value for e in ests)
         assert report.max_rel_err > 1e-12
+
+    def test_samples_used_is_the_rows_total(self):
+        report = evaluate(self.params, self.data, cdf_tol=1e-6, seed=34)
+        ests = joint_estimates(self.params, self.data.presence, self.data.features,
+                               1e-6, derive_seed(34, "joint"))
+        assert report.samples_used == sum(e.samples_used for e in ests)
+        assert report.samples_used > len(self.data) * 3084
+
+    def test_means_are_mapped_once(self, monkeypatch):
+        calls = []
+        real = model.mu_forward
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(model, "mu_forward", counting)
+        monkeypatch.setattr(evaluation, "mu_forward", counting)
+        evaluate(self.params, self.data, cdf_tol=1e-4, seed=35)
+        assert len(calls) == 1

@@ -24,6 +24,7 @@ from dmse.mvn import (
     _cbc_lattice,
     _lattice_means,
     _ordered_cholesky,
+    _powers_mod,
     _tilts,
 )
 from oracles import (
@@ -156,31 +157,31 @@ class TestCdfRectangle:
             assert est.samples_used >= 0
 
     def test_budget_exhaustion_sets_flag(self, monkeypatch):
+        """A row stops once what is left of the budget cannot pay for a
+        pass of 256 points a shift, and reports the miss."""
         cov = np.array([[1.0, 0.5], [0.5, 1.0]])
         p = MvnProblem([0.0, 0.0], cov)
-        monkeypatch.setattr(mvn, "MAX_SAMPLES", 5000)
-        est = cdf_rectangle(p, Rectangle.from_presence([1, 1]), tol=1e-12, seed=4)
-        assert not est.tolerance_reached
-        assert est.samples_used >= 5000
+        for budget in (5000, 100_000):
+            monkeypatch.setattr(mvn, "MAX_SAMPLES", budget)
+            est = cdf_rectangle(p, Rectangle.from_presence([1, 1]), tol=1e-12, seed=4)
+            assert not est.tolerance_reached
+            assert budget - N_RANDOMIZATIONS * 256 < est.samples_used <= max(budget, 3084)
 
     @pytest.mark.parametrize("budget", [3084, 3085, 45_912, 50_000])
     def test_budget_is_checked_between_passes(self, budget, monkeypatch):
-        """``MAX_SAMPLES`` is a budget, not a cap: a pass starts only while
-        fewer evaluations have been used, so the final pass starts below
-        the budget and may overrun it."""
+        """``MAX_SAMPLES`` is a cap: the first pass always runs, each later
+        pass is clipped to the budget left, and a row stops once less than
+        256 points a shift are left."""
+        passes = _record_passes(monkeypatch)
         p = MvnProblem([0.3, -0.2, 0.1], random_correlation(np.random.default_rng(31), 3))
         monkeypatch.setattr(mvn, "MAX_SAMPLES", budget)
         est = cdf_rectangle(p, Rectangle.from_presence([1, 0, 1]), tol=0.0, seed=3)
-        used, n_points = 0, 256
-        while used < budget:
-            last = N_RANDOMIZATIONS * _cbc_lattice(2, n_points)[1]
-            used += last
-            n_points *= 2
         assert not est.tolerance_reached
-        assert est.samples_used == used
-        assert est.samples_used - last < budget <= est.samples_used
-        if budget == 50_000:
-            assert est.samples_used > 1.9 * budget
+        assert est.samples_used == sum(n_eval for _, n_eval in passes) <= max(budget, 3084)
+        assert budget - est.samples_used < N_RANDOMIZATIONS * 256
+        assert passes[0] == (256, 3084)
+        if budget < 3084 + N_RANDOMIZATIONS * 256:
+            assert len(passes) == 1
 
     @pytest.mark.parametrize("n", [2, 20, 100])
     def test_infinite_tolerance_is_one_pass(self, n):
@@ -197,6 +198,21 @@ class TestCdfRectangle:
         p = MvnProblem([0.0, 0.0], np.eye(2))
         with pytest.raises(DimMismatch):
             cdf_rectangle(p, Rectangle.from_presence([1, 1, 1]))
+
+
+def _record_passes(monkeypatch):
+    """Patch ``_lattice_means`` to append each pass's ``(points asked for,
+    evaluations)`` to the list returned."""
+    passes = []
+    real = mvn._lattice_means
+
+    def recording(cho, lo, hi, n_points, shifts, mu):
+        means, n_eval = real(cho, lo, hi, n_points, shifts, mu)
+        passes.append((n_points, n_eval))
+        return means, n_eval
+
+    monkeypatch.setattr(mvn, "_lattice_means", recording)
+    return passes
 
 
 def _equicorrelated(mu0, bits, rho=0.5):
@@ -342,6 +358,19 @@ class TestOrderedCholesky:
         assert peak < 16 * 2**20
 
 
+class TestCbcLattice:
+    @pytest.mark.parametrize("n", [3, 5, 257, 4093, 65537, 833_309])
+    def test_powers_match_the_loop(self, n):
+        """The block-doubling powers equal the one-at-a-time loop they
+        replace, up to the largest lattice the default budget allows."""
+        g, m = mvn._primitive_root(n), (n - 1) // 2
+        want, x = [], 1
+        for _ in range(m):
+            want.append(x)
+            x = x * g % n
+        np.testing.assert_array_equal(_powers_mod(g, m, n), want)
+
+
 class TestLatticeMeans:
     """The chunked lattice pass against the reference all-points pass."""
 
@@ -391,14 +420,14 @@ class TestLatticeMeans:
         p = MvnProblem(rng.normal(size=n), cov)
         x = p.mean + np.linalg.cholesky(cov + 1e-9 * np.eye(n)) @ rng.normal(size=n)
         rect = Rectangle.from_presence((x > 0).astype(int))
-        monkeypatch.setattr(mvn, "MAX_SAMPLES", 400_000)
+        monkeypatch.setattr(mvn, "MAX_SAMPLES", 800_000)
         tracemalloc.start()
         try:
             est = cdf_rectangle(p, rect, tol=0.0, seed=5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert est.samples_used > 750_000 and est.value > 0.0
+        assert 750_000 < est.samples_used <= 800_000 and est.value > 0.0
         assert peak < 32 * 2**20
 
 
@@ -415,7 +444,7 @@ class TestTilting:
         est = cdf_rectangle(p, rect, tol=1e-6, seed=0)
         assert est.tolerance_reached
         assert abs(est.value - exact) <= 1e-6 * exact
-        assert est.samples_used <= 3_142_176
+        assert est.samples_used <= 3_002_796
 
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_psi_bounds_the_log_probability(self, n):
@@ -431,10 +460,11 @@ class TestTilting:
 
     @pytest.mark.parametrize("mean, bits, cov, tol, plain", [
         # n=2, where the lattice is one-dimensional; probability 0.083, so
-        # not in the bulk: tilted, 1,569,324.
-        ([-0.5257, 0.1388], [1, 1], [[1.0, -0.5696], [-0.5696, 1.0]], 5e-7, 193_320),
-        # A row of probability 0.73, in the bulk: tilted, 193,320.
-        ([-0.89, -1.15, -2.73], [0, 0, 0], np.full((3, 3), 0.3) + 0.7 * np.eye(3), 1e-6, 45_912),
+        # not in the bulk: tilted, 1,569,324 (with doubling passes).
+        ([-0.5257, 0.1388], [1, 1], [[1.0, -0.5696], [-0.5696, 1.0]], 5e-7, 141_204),
+        # A row of probability 0.73, in the bulk: tilted, 193,320 (with
+        # doubling passes).
+        ([-0.89, -1.15, -2.73], [0, 0, 0], np.full((3, 3), 0.3) + 0.7 * np.eye(3), 1e-6, 33_768),
     ], ids=["bivariate", "bulk"])
     def test_smooth_rows_keep_the_plain_pass(self, mean, bits, cov, tol, plain, monkeypatch):
         """Rows whose plain integrand converges faster on the lattice than
@@ -498,6 +528,66 @@ class TestTilting:
         assert peak < 16 * 2**20
 
 
+def _random_rows(n, rows, seed):
+    """``rows`` random problems at n: equicorrelation 0.3, means drawn from
+    N(0, 1.5^2), random presence bits; with their exact probabilities."""
+    rng = np.random.default_rng(seed)
+    mean = rng.normal(0.0, 1.5, (rows, n))
+    bits = rng.integers(0, 2, (rows, n))
+    cov = np.full((n, n), 0.3) + 0.7 * np.eye(n)
+    exact = [math.exp(equicorrelated_log_prob(m, b, 0.3)) for m, b in zip(mean, bits)]
+    return MvnProblem(mean, cov), Rectangle.from_presence(bits), np.array(exact)
+
+
+class TestPassSchedule:
+    """Each pass after the first is sized to close the error left, 1x to
+    16x the last, within a budget that caps every row."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_each_pass_is_1_to_16_times_the_last(self, n, monkeypatch):
+        passes = _record_passes(monkeypatch)
+        p, rect, _ = _random_rows(n, 6, seed=80 + n)
+        schedules = []
+        for row in range(6):
+            start = len(passes)
+            one = Rectangle(rect.lower[row], rect.upper[row])
+            est = cdf_rectangle(MvnProblem(p.mean[row], p.cov), one, tol=1e-6, seed=row)
+            assert est.tolerance_reached
+            schedules.append([n_points for n_points, _ in passes[start:]])
+        for schedule in schedules:
+            for last, this in zip(schedule, schedule[1:]):
+                assert last <= this <= 16 * last
+        assert max(map(len, schedules)) >= 3
+
+    def test_zero_tolerance_grows_16x(self, monkeypatch):
+        passes = _record_passes(monkeypatch)
+        monkeypatch.setattr(mvn, "MAX_SAMPLES", 1_000_000)
+        p = MvnProblem([0.3, -0.2, 0.1], random_correlation(np.random.default_rng(31), 3))
+        cdf_rectangle(p, Rectangle.from_presence([1, 0, 1]), tol=0.0, seed=3)
+        assert [n_points for n_points, _ in passes[:3]] == [256, 4096, 65536]
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-6])
+    # 39,084 leaves 3,000 points a shift after the first pass, and 3,001 is
+    # prime: a pass asking for all 3,000 would get 3,001.
+    @pytest.mark.parametrize("budget", [1, 3084, 3085, 20_000, 39_084, 200_000])
+    def test_samples_used_is_capped(self, budget, tol, monkeypatch):
+        monkeypatch.setattr(mvn, "MAX_SAMPLES", budget)
+        p, rect, _ = _random_rows(5, 4, seed=90)
+        for est in cdf_rectangles(p, rect, range(4), tol):
+            assert est.samples_used <= max(budget, 3084)
+            if not est.tolerance_reached:
+                assert budget - est.samples_used < N_RANDOMIZATIONS * 256
+
+    @pytest.mark.parametrize("n, rows, doubling_misses", [(3, 48, 2), (5, 16, 0), (8, 8, 0)])
+    def test_no_more_oracle_misses_than_doubling(self, n, rows, doubling_misses):
+        """At tol=1e-6, no more rows are off the exact probability by more
+        than tol than with passes that double, which missed
+        ``doubling_misses`` of these rows."""
+        p, rect, exact = _random_rows(n, rows, seed=100 + n)
+        values = np.array([est.value for est in cdf_rectangles(p, rect, range(rows), 1e-6)])
+        assert np.sum(np.abs(values - exact) > 1e-6 * exact) <= doubling_misses
+
+
 class TestCdfRectangles:
     def setup_method(self):
         rng = np.random.default_rng(40)
@@ -546,6 +636,13 @@ class TestCdfRectangles:
         assert [r.name for r in records] == ["dmse.mvn"] * 4
         assert all(r.levelno == logging.WARNING for r in records)
         assert all("tolerance" in r.getMessage() for r in records)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-6, -math.inf])
+    def test_tolerance_must_be_non_negative(self, tol):
+        # A NaN tolerance is never met, so every row would run to the budget.
+        p, rect = MvnProblem(self.mean, self.cov), Rectangle.from_presence(self.bits)
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            cdf_rectangles(p, rect, range(4), tol)
 
     def test_empty_batch(self):
         p = MvnProblem(np.zeros((0, 3)), self.cov)
