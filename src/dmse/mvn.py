@@ -19,13 +19,23 @@ gradients:
   tolerance, rows of three or more variables that lie outside the bulk
   are integrated under Botev's minimax tilt, found by one batched Newton
   solve per slice of ordered rows; ``tol=math.inf`` is one untilted pass.
-  Lattice points are made in fixed-size chunks, so memory is
-  O(chunk * n) at any point count, and an infinite bound costs no
-  ``ndtr`` call.
+  Lattice points are made in fixed-size chunks, and each chunk in column
+  blocks of every shift times a run of points, at most ``2 * _CHUNK``
+  columns, in buffers allocated once per pass and filled in place; so
+  memory is O(chunk * n) at any point count, and an infinite bound costs
+  no ``ndtr`` call. The conditioning sums of each run of 32 variables are
+  one GEMM over the earlier variables plus a gemv within the run. Up to
+  32 variables that is one gemv a variable, the sums of the chunk-wide
+  pass bit for bit, so every estimate with n <= 32 is what the chunk-wide
+  pass gave; past 32 the GEMM reorders sums, which moves estimates by a
+  few ulps.
 - Gibbs sampling of the normal restricted to an axis-aligned rectangle,
   with numerically safe truncated univariate draws. A problem's mean and a
   rectangle's bounds may carry a leading batch axis (one covariance, many
-  means), which the sampler advances together.
+  means), which the sampler advances together. Each coordinate update
+  works in place in buffers allocated once per call, and runs the
+  far-tail rejection step only when an entry needs it; the random stream
+  and the draws are those of the plainer form in ``tests/oracles.py``.
 
 All operations are pure given their inputs plus an explicit seed; values
 are immutable, and the precision matrix is computed at construction time
@@ -72,6 +82,13 @@ MAX_SAMPLES = 10_000_000
 #: Lattice points per chunk of an integrand pass, which bounds its memory;
 #: cdf_rectangles orders ``_CHUNK // n`` rows at a time for the same reason.
 _CHUNK = 4096
+
+#: Most columns (points times shifts) one block of a lattice pass holds, so
+#: a block's per-variable rows stay in cache.
+_BLOCK = 2 * _CHUNK
+
+#: Variables whose conditioning sums a lattice block makes with one GEMM.
+_COND_BLOCK = 32
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -530,8 +547,13 @@ def _lattice_means(cho, lo, hi, n_points, shifts, mu):
     """Mean integrand value per randomization shift, and the evaluation count.
 
     ``shifts`` has shape ``(R, n-1)``; returns ``(R,)`` means of the
-    conditioned-probability integrand over the tent-transformed lattice,
-    taken :data:`_CHUNK` points (and every shift) at a time.
+    conditioned-probability integrand over the tent-transformed lattice.
+    Each shift's sum is taken over :data:`_CHUNK` points at a time, and
+    each chunk is made in blocks of every shift times at most
+    ``_BLOCK // R`` points, in buffers allocated once per call. Within a
+    block, the conditioning sums of each run of :data:`_COND_BLOCK`
+    variables are one GEMM over the earlier variables plus a gemv over the
+    run's own; the first run is a gemv alone.
 
     A nonzero tilt ``mu`` (``(n-1,)``, from :func:`_tilts`) draws each
     ``y_k`` from the conditional shifted by ``mu_k``: the bounds move by
@@ -547,29 +569,94 @@ def _lattice_means(cho, lo, hi, n_points, shifts, mu):
         lo, hi = lo - delta, hi - delta
         half = -0.5 * float(mu @ mu)
     r = shifts.shape[0]
+    c0, d0 = ndtr(lo[0]), ndtr(hi[0])
+    chunk = min(_CHUNK, n_points)
+    width = min(chunk, max(1, _BLOCK // r))
+    cols = r * width
+    # A block holds every shift of ``width`` points, so its width is a
+    # multiple of R: OpenBLAS's gemv takes the last ``width % 4`` columns
+    # down another path, and blocks of whole shifts (4,093 points each)
+    # would change sums that the chunk-wide gemv made.
+    y = np.empty((n - 1) * cols)
+    part = np.empty(min(_COND_BLOCK, n - _COND_BLOCK) * cols) if n > _COND_BLOCK else None
+    u, s, c_buf, d_buf, dc_buf, pv = (np.empty(cols) for _ in range(6))
+    frac, past = np.empty(width), np.empty(cols, dtype=bool)
+    chunk_pv = np.empty(r * chunk)
     sums = np.zeros(r)
     for start in range(0, n_points, _CHUNK):
-        k = np.arange(start + 1, min(start + _CHUNK, n_points) + 1, dtype=float)
-        c, d = ndtr(lo[0]), ndtr(hi[0])
-        pv = np.full(r * k.size, d - c)
-        y = np.empty((n - 1, r * k.size))
-        for i in range(1, n):
-            # Tent (baker's) transform of coordinate i-1 of the shifted
-            # lattice; the sum lies in [0, 2), where subtracting 1 (as
-            # True) is exact, so this equals ``% 1.0`` bit for bit.
-            w = (k * gen[i - 1]) % 1.0 + shifts[:, i - 1, None]
-            w -= w >= 1.0
-            u = c + np.abs(2.0 * w - 1.0).reshape(-1) * (d - c)
-            y[i - 1] = ndtri(np.clip(u, 5e-324, 1.0 - 1e-16))
-            s = cho[i, :i] @ y[:i]
-            c = 0.0 if lo[i] == -np.inf else ndtr(lo[i] - s)
-            d = 1.0 if hi[i] == np.inf else ndtr(hi[i] - s)
-            pv = pv * (d - c)
-        if tilted:
-            # The ratio alone can overflow where the product underflows.
-            with np.errstate(divide="ignore"):
-                pv = np.exp(np.log(pv) + (half - mu @ y))
-        sums += pv.reshape(r, k.size).sum(axis=1)
+        m = min(_CHUNK, n_points - start)
+        for p0 in range(0, m, width):
+            b = min(width, m - p0)
+            w = r * b
+            k = np.arange(start + p0 + 1, start + p0 + b + 1, dtype=float)
+            yb = y[: (n - 1) * w].reshape(n - 1, w)
+            ub, sb, pvb, fb = u[:w], s[:w], pv[:w], frac[:b]
+            pvb.fill(d0 - c0)
+            # ``c`` and ``d - c`` of the last variable; the plain floats 0.0
+            # and 1.0 stand for an infinite bound and skip their operation,
+            # which would leave every value as it is.
+            c, dc = c0, d0 - c0
+            for i in range(1, n):
+                # Tent (baker's) transform of coordinate i-1 of the shifted
+                # lattice; the sum lies in [0, 2), where subtracting 1 (as
+                # True) is exact, so this equals ``% 1.0`` bit for bit.
+                np.multiply(k, gen[i - 1], out=fb)
+                np.remainder(fb, 1.0, out=fb)
+                np.add(fb, shifts[:, i - 1, None], out=ub.reshape(r, b))
+                np.greater_equal(ub, 1.0, out=past[:w])
+                np.subtract(ub, past[:w], out=ub)
+                np.multiply(ub, 2.0, out=ub)
+                np.subtract(ub, 1.0, out=ub)
+                np.abs(ub, out=ub)
+                if not (isinstance(dc, float) and dc == 1.0):
+                    np.multiply(ub, dc, out=ub)
+                if not (isinstance(c, float) and c == 0.0):
+                    np.add(ub, c, out=ub)
+                np.maximum(ub, 5e-324, out=ub)
+                np.minimum(ub, 1.0 - 1e-16, out=ub)
+                ndtri(ub, out=yb[i - 1])
+                # sb = cho[i, :i] @ y[:i], by conditioning blocks.
+                b0 = i - i % _COND_BLOCK
+                if b0 == 0:
+                    np.matmul(cho[i, :i], yb[:i], out=sb)
+                else:
+                    rows = min(_COND_BLOCK, n - b0)
+                    earlier = part[: rows * w].reshape(rows, w)
+                    if i == b0:
+                        np.matmul(cho[b0 : b0 + rows, :b0], yb[:b0], out=earlier)
+                        np.copyto(sb, earlier[0])
+                    else:
+                        np.matmul(cho[i, b0:i], yb[b0:i], out=sb)
+                        np.add(sb, earlier[i - b0], out=sb)
+                if lo[i] == -np.inf:
+                    c = 0.0
+                else:
+                    c = c_buf[:w]
+                    np.subtract(lo[i], sb, out=c)
+                    ndtr(c, out=c)
+                if hi[i] == np.inf:
+                    d = 1.0
+                else:
+                    d = d_buf[:w]
+                    np.subtract(hi[i], sb, out=d)
+                    ndtr(d, out=d)
+                if isinstance(c, float):
+                    dc = d
+                else:
+                    dc = dc_buf[:w]
+                    np.subtract(d, c, out=dc)
+                if not isinstance(dc, float):
+                    np.multiply(pvb, dc, out=pvb)
+            if tilted:
+                # The ratio alone can overflow where the product underflows.
+                np.matmul(mu, yb, out=sb)
+                np.subtract(half, sb, out=sb)
+                with np.errstate(divide="ignore"):
+                    np.log(pvb, out=pvb)
+                np.add(pvb, sb, out=pvb)
+                np.exp(pvb, out=pvb)
+            chunk_pv[: r * m].reshape(r, m)[:, p0 : p0 + b] = pvb.reshape(r, b)
+        sums += chunk_pv[: r * m].reshape(r, m).sum(axis=1)
     return sums / n_points, r * n_points
 
 
@@ -620,11 +707,13 @@ def cdf_rectangles(
     except ValueError:
         raise DimMismatch(f"{problem.mean.shape} and {rect.lower.shape} vs {shape}") from None
     n = problem.dim
-    # Negate every variable whose interval is [lo, inf), so each half-line
-    # lies below, where ndtr keeps full relative precision (1 - ndtr(lo)
-    # cancels to 0 in a far upper tail).
-    sign = np.where(upper == np.inf, -1.0, 1.0)
-    lo, hi = np.sort(sign * (np.stack([lower, upper]) - mean), axis=0)
+    # Negate every variable whose interval is [lo, inf) or lies wholly above
+    # the mean, so each half-line and each upper-tail interval lies below,
+    # where ndtr keeps full relative precision (1 - ndtr(lo) and
+    # ndtr(hi) - ndtr(lo) cancel to 0 in a far upper tail).
+    centred = np.stack([lower, upper]) - mean
+    sign = np.where((upper == np.inf) | (centred[0] > 0.0), -1.0, 1.0)
+    lo, hi = np.sort(sign * centred, axis=0)
     if n == 1:
         sd = math.sqrt(problem.cov[0, 0])
         values = ndtr(hi[:, 0] / sd) - ndtr(lo[:, 0] / sd)
@@ -713,33 +802,46 @@ def cdf_rectangle(
 # ---------------------------------------------------------------------------
 
 
-def _trunc_std_normal(rng: np.random.Generator, u, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _trunc_std_normal(rng: np.random.Generator, u, ab, flip, lh, p) -> np.ndarray:
     """One draw per entry of a standard normal conditioned on ``[a, b]``.
 
-    Intervals above zero are mirrored below it, where ``ndtr`` keeps full
-    relative precision. The inverse CDF of ``u`` (one uniform per entry)
-    gives the bulk draws; intervals beyond ``_FAR_TAIL`` standard
-    deviations, where the inverse CDF loses precision, use
-    translated-exponential rejection (Robert's method) with draws from
-    ``rng``, repeated for the entries still pending.
+    ``ab`` is a ``(2, m)`` array holding ``a`` over ``b``; ``flip`` (bool,
+    ``(m,)``), ``lh`` and ``p`` (``(2, m)``) are buffers this overwrites,
+    and the draws are returned as a view of ``p``. Intervals above zero are
+    mirrored below it, where ``ndtr`` keeps full relative precision. The
+    inverse CDF of ``u`` (one uniform per entry) gives the bulk draws;
+    intervals beyond ``_FAR_TAIL`` standard deviations, where the inverse
+    CDF loses precision, use translated-exponential rejection (Robert's
+    method) with draws from ``rng``, repeated for the entries still
+    pending.
     """
-    flip = a > 0
-    lo, hi = np.where(flip, -b, a), np.where(flip, -a, b)
-    p_lo = ndtr(lo)
-    z = ndtri(p_lo + (ndtr(hi) - p_lo) * u)
-    tail = np.flatnonzero(hi <= -_FAR_TAIL)
-    # Rejection on the upper-tail interval [ta, tb], negated back below zero.
-    ta, tb = -hi[tail], -lo[tail]
-    lam = 0.5 * (ta + np.sqrt(ta * ta + 4.0))
-    cap = -np.expm1(-lam * (tb - ta))
-    pending = np.arange(tail.size)
-    while pending.size:
-        v = rng.random((2, pending.size))
-        cand = ta[pending] - np.log1p(-v[0] * cap[pending]) / lam[pending]
-        ok = np.log(v[1] + 1e-300) <= -0.5 * (cand - lam[pending]) ** 2
-        z[tail[pending[ok]]] = -cand[ok]
-        pending = pending[~ok]
-    return np.where(flip, -z, z)
+    np.greater(ab[0], 0.0, out=flip)
+    np.copyto(lh, ab)
+    np.negative(ab[::-1], out=lh, where=flip)
+    lo, hi = lh
+    ndtr(lh, out=p)
+    p_lo, z = p
+    np.subtract(z, p_lo, out=z)
+    np.multiply(z, u, out=z)
+    np.add(z, p_lo, out=z)
+    ndtri(z, out=z)
+    # Bounds are NaN-free (finite means and precision, ordered bounds), so
+    # the minimum shows whether any entry needs the rejection sampler.
+    if hi.min() <= -_FAR_TAIL:
+        tail = np.flatnonzero(hi <= -_FAR_TAIL)
+        # Rejection on the upper-tail interval [ta, tb], negated back below zero.
+        ta, tb = -hi[tail], -lo[tail]
+        lam = 0.5 * (ta + np.sqrt(ta * ta + 4.0))
+        cap = -np.expm1(-lam * (tb - ta))
+        pending = np.arange(tail.size)
+        while pending.size:
+            v = rng.random((2, pending.size))
+            cand = ta[pending] - np.log1p(-v[0] * cap[pending]) / lam[pending]
+            ok = np.log(v[1] + 1e-300) <= -0.5 * (cand - lam[pending]) ** 2
+            z[tail[pending[ok]]] = -cand[ok]
+            pending = pending[~ok]
+    np.negative(z, out=z, where=flip)
+    return z
 
 
 def sample_truncated(
@@ -786,16 +888,28 @@ def sample_truncated(
     # Rectangle-projected mean as the starting state.
     x = np.clip(mu, lo, hi)
     dx = x - mu
-    out = np.empty((kept, n, x.shape[1]))
+    bounds = np.stack([lo, hi], axis=1)
+    m = x.shape[1]
+    # Every coordinate update works in these buffers, in place.
+    u, cm, flip = np.empty((n, m)), np.empty(m), np.empty(m, dtype=bool)
+    ab, lh, p = (np.empty((2, m)) for _ in range(3))
+    out = np.empty((kept, n, m))
     burn, thin = cfg.burn_in_sweeps, cfg.thinning
     for sweep in range(1, burn + kept * thin + 1):
-        u = rng.random(x.shape)
+        rng.random(out=u)
         for j in range(n):
-            cm = mu[j] - cond_var[j] * (q_off[j] @ dx)
-            cs = cond_sd[j]
-            z = _trunc_std_normal(rng, u[j], (lo[j] - cm) / cs, (hi[j] - cm) / cs)
-            x[j] = np.clip(cm + cs * z, lo_in[j], hi_in[j])
-            dx[j] = x[j] - mu[j]
+            # cm = mu[j] - cond_var[j] * (q_off[j] @ dx)
+            np.matmul(q_off[j], dx, out=cm)
+            np.multiply(cm, cond_var[j], out=cm)
+            np.subtract(mu[j], cm, out=cm)
+            np.subtract(bounds[j], cm, out=ab)
+            np.divide(ab, cond_sd[j], out=ab)
+            z = _trunc_std_normal(rng, u[j], ab, flip, lh, p)
+            np.multiply(z, cond_sd[j], out=z)
+            np.add(z, cm, out=z)
+            np.maximum(z, lo_in[j], out=x[j])
+            np.minimum(x[j], hi_in[j], out=x[j])
+            np.subtract(x[j], mu[j], out=dx[j])
         if sweep > burn and (sweep - burn) % thin == 0:
             out[(sweep - burn) // thin - 1] = x
     # (kept, n, batch * chains) -> batch + (chains * kept, n), chain-major.

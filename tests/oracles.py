@@ -8,11 +8,13 @@ and gradients come from central finite differences; the gradient of
 Botev's tilting objective is taken in 50-digit arithmetic. The oracles are
 themselves cross-checked against closed forms in test_oracles.py.
 
-Two are reference copies of the integrator's earlier, unvectorized
-internals, which pin the vectorized ones bit for bit:
+Three are reference copies of earlier, plainer versions of the package's
+internals, which pin the optimized ones bit for bit:
 :func:`ordered_cholesky_loop` (the per-candidate, per-row loop of the
-variable ordering) and :func:`lattice_means_dense` (the lattice pass with
-every point of every shift materialized at once).
+variable ordering), :func:`lattice_means_dense` (the lattice pass with
+every point of every shift materialized at once) and
+:func:`sample_truncated_reference` (the Gibbs sampler with a fresh array
+for every step of every coordinate update).
 """
 
 from __future__ import annotations
@@ -270,3 +272,65 @@ def botev_gradient(cho, lo, hi, x, mu):
     m = n - 1
     d_x = np.array([sum(cho[k, j] * p[k] for k in range(j + 1, n)) for j in range(m)]) - mu
     return d_x, mu - x + p[:m]
+
+
+def _trunc_std_normal_reference(rng, u, a, b):
+    """One draw per entry of a standard normal conditioned on ``[a, b]``:
+    inverse CDF in the bulk (mirrored below zero), Robert's rejection past
+    4 standard deviations."""
+    flip = a > 0
+    lo, hi = np.where(flip, -b, a), np.where(flip, -a, b)
+    p_lo = ndtr(lo)
+    z = ndtri(p_lo + (ndtr(hi) - p_lo) * u)
+    tail = np.flatnonzero(hi <= -4.0)
+    # Rejection on the upper-tail interval [ta, tb], negated back below zero.
+    ta, tb = -hi[tail], -lo[tail]
+    lam = 0.5 * (ta + np.sqrt(ta * ta + 4.0))
+    cap = -np.expm1(-lam * (tb - ta))
+    pending = np.arange(tail.size)
+    while pending.size:
+        v = rng.random((2, pending.size))
+        cand = ta[pending] - np.log1p(-v[0] * cap[pending]) / lam[pending]
+        ok = np.log(v[1] + 1e-300) <= -0.5 * (cand - lam[pending]) ** 2
+        z[tail[pending[ok]]] = -cand[ok]
+        pending = pending[~ok]
+    return np.where(flip, -z, z)
+
+
+def sample_truncated_reference(problem, rect, cfg, seed):
+    """Reference Gibbs sampler: ``dmse.mvn.sample_truncated``'s systematic
+    scan and random stream, written with a new array for every operation
+    and the rejection step run on every coordinate, hits or not."""
+    batch = np.broadcast_shapes(problem.mean.shape, rect.lower.shape)[:-1]
+    n = problem.dim
+    q = problem.precision
+    chains = cfg.chains
+    kept = -(-cfg.n_samples // chains)
+    rng = np.random.default_rng(seed)
+
+    def per_row(a):
+        a = np.broadcast_to(a, batch + (n,)).reshape(-1, n)
+        return np.repeat(a, chains, axis=0).T.copy()
+
+    mu, lo, hi = per_row(problem.mean), per_row(rect.lower), per_row(rect.upper)
+    lo_in = np.nextafter(lo, np.inf)
+    hi_in = np.nextafter(hi, -np.inf)
+    cond_var = 1.0 / np.diag(q)
+    cond_sd = np.sqrt(cond_var)
+    q_off = q - np.diag(np.diag(q))
+    x = np.clip(mu, lo, hi)
+    dx = x - mu
+    out = np.empty((kept, n, x.shape[1]))
+    burn, thin = cfg.burn_in_sweeps, cfg.thinning
+    for sweep in range(1, burn + kept * thin + 1):
+        u = rng.random(x.shape)
+        for j in range(n):
+            cm = mu[j] - cond_var[j] * (q_off[j] @ dx)
+            cs = cond_sd[j]
+            z = _trunc_std_normal_reference(rng, u[j], (lo[j] - cm) / cs, (hi[j] - cm) / cs)
+            x[j] = np.clip(cm + cs * z, lo_in[j], hi_in[j])
+            dx[j] = x[j] - mu[j]
+        if sweep > burn and (sweep - burn) % thin == 0:
+            out[(sweep - burn) // thin - 1] = x
+    out = out.reshape(kept, n, -1, chains).transpose(2, 3, 0, 1)
+    return out.reshape(batch + (chains * kept, n))

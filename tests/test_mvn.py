@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from dmse import mvn
 from dmse.errors import DimMismatch, NotPositiveDefinite
@@ -37,6 +38,7 @@ from oracles import (
     quadrature_rectangle,
     random_correlation,
     rejection_truncated,
+    sample_truncated_reference,
 )
 
 
@@ -253,6 +255,18 @@ class TestFarTails:
         assert est.tolerance_reached
         assert abs(est.value - exact) <= 1e-6 * exact
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("box", [(9.0, 10.0), (8.0, 9.0), (-10.0, -9.0), (-9.0, -8.0)])
+    def test_finite_interval_above_the_mean_keeps_its_mass(self, box, n):
+        """``ndtr(10) - ndtr(9)`` cancels to 0 (and ``ndtr(9) - ndtr(8)``
+        to 7% off) unless the interval is mirrored below the mean first."""
+        a, b = sorted(abs(v) for v in box)
+        exact = float(ndtr(-a) - ndtr(-b)) ** n
+        rect = Rectangle(np.full(n, box[0]), np.full(n, box[1]))
+        est = cdf_rectangle(MvnProblem(np.zeros(n), np.eye(n)), rect, tol=1e-6)
+        assert est.tolerance_reached
+        assert abs(est.value - exact) <= 1e-6 * exact
+
     @pytest.mark.parametrize("n", [3, 5])
     def test_far_presence_reports_a_miss_not_a_wrong_value(self, n, monkeypatch):
         monkeypatch.setattr(mvn, "MAX_SAMPLES", 100_000)
@@ -371,28 +385,40 @@ class TestCbcLattice:
         np.testing.assert_array_equal(_powers_mod(g, m, n), want)
 
 
+def _dense_sizes(n):
+    """Pass sizes to check against the dense reference, which holds every
+    point of a pass: about 130 MB at n=100 and 4,096 points."""
+    return (256, _CHUNK, 5 * _CHUNK) if n <= 20 else (256, _CHUNK)
+
+
 class TestLatticeMeans:
     """The chunked lattice pass against the reference all-points pass."""
 
-    @pytest.mark.parametrize("n", [2, 5, 20])
+    @pytest.mark.parametrize("n", [2, 5, 20, 33, 100])
     @pytest.mark.parametrize("name", ["presence", "finite", "mixed"])
     def test_matches_dense_pass(self, name, n):
+        """Up to 32 variables the blocked pass makes the reference's
+        conditioning sums, one gemv a variable; past that, each block of 32
+        sums one GEMM over the earlier variables and one gemv, which moves
+        the result by a few ulps."""
         rng = np.random.default_rng(50 + n)
         cov = random_correlation(rng, n)
         lo, hi = _bounds(n, rng, cov)[name]
         (cho,), (lo,), (hi,), _ = _ordered_cholesky(cov[None], lo[None], hi[None])
-        for n_points in (256, _CHUNK, 5 * _CHUNK):
+        for n_points in _dense_sizes(n):
             shifts = rng.random((N_RANDOMIZATIONS, n - 1))
             gen, size = _cbc_lattice(n - 1, n_points)
             got, evals = _lattice_means(cho, lo, hi, n_points, shifts, np.zeros(n - 1))
             want = lattice_means_dense(cho, lo, hi, gen, size, shifts)
             assert evals == N_RANDOMIZATIONS * size
-            if size <= _CHUNK:  # one chunk: the same operations, bit for bit
+            if n > mvn._COND_BLOCK:
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+            elif size <= _CHUNK:  # one chunk: the same operations, bit for bit
                 np.testing.assert_array_equal(got, want)
             else:  # chunk sums change only the order of the final sum
                 np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
-    @pytest.mark.parametrize("n", [2, 5, 20])
+    @pytest.mark.parametrize("n", [2, 5, 20, 33, 100])
     @pytest.mark.parametrize("name", ["presence", "finite", "mixed"])
     def test_tilted_matches_dense_pass(self, name, n):
         """A tilted pass against the reference, which moves the bounds and
@@ -403,13 +429,31 @@ class TestLatticeMeans:
         cho, lo, hi, _ = _ordered_cholesky(cov[None], lo[None], hi[None])
         mu = _tilts(cho, lo, hi)[1][0]
         assert mu.any()
-        for n_points in (256, 5 * _CHUNK):
+        for n_points in (256, _dense_sizes(n)[-1]):
             shifts = rng.random((N_RANDOMIZATIONS, n - 1))
             gen, size = _cbc_lattice(n - 1, n_points)
             got, evals = _lattice_means(cho[0], lo[0], hi[0], n_points, shifts, mu)
             want = lattice_means_dense(cho[0], lo[0], hi[0], gen, size, shifts, mu)
             assert evals == N_RANDOMIZATIONS * size
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_blocked_pass_memory_is_bounded(self):
+        """A pass of 5 chunks at n=100 holds one block of 8,184 columns per
+        variable (6.5 MiB) and one 32-variable GEMM block (2 MiB), 9.1 MiB
+        in all; the pass that made each chunk whole peaked at 76 MiB."""
+        n = 100
+        rng = np.random.default_rng(12)
+        cov = random_correlation(rng, n)
+        lo, hi = _bounds(n, rng, cov)["presence"]
+        (cho,), (lo,), (hi,), _ = _ordered_cholesky(cov[None], lo[None], hi[None])
+        shifts = rng.random((N_RANDOMIZATIONS, n - 1))
+        tracemalloc.start()
+        try:
+            _lattice_means(cho, lo, hi, 5 * _CHUNK, shifts, np.zeros(n - 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
     def test_peak_memory_is_bounded(self, monkeypatch):
         """About 800k evaluations at n=20 hold under 32 MiB of numpy arrays;
@@ -721,6 +765,43 @@ class TestSampleTruncated:
         a = sample_truncated(p, rect, cfg, 77)
         b = sample_truncated(p, rect, cfg, 77)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [2, 5, 20, 100])
+    @pytest.mark.parametrize("kind", ["presence", "finite"])
+    def test_matches_reference_stream(self, kind, n, monkeypatch):
+        """The in-place sweep draws what the reference sampler draws, bit
+        for bit: on rows in the bulk, whose updates skip the rejection step,
+        and with a row whose conditionals lie past ``_FAR_TAIL``, which take
+        the rejection sampler's extra uniforms."""
+        rng = np.random.default_rng(90 + n)
+        cov = random_correlation(rng, n)
+        mean = rng.normal(size=(3, n))
+        if kind == "presence":
+            bits = rng.integers(0, 2, size=(3, n))
+            # Row 2: present species 6 sd below their bound, absent ones 6 above.
+            mean[2] = np.where(bits[2] == 1, -6.0, 6.0)
+            presence = Rectangle.from_presence(bits)
+            lower, upper = presence.lower, presence.upper
+        else:
+            lower = mean + rng.normal(size=(3, n)) - 1.0
+            upper = lower + rng.uniform(0.5, 2.0, size=(3, n))
+            # Row 2: species 0 confined to [8, 9] sd above its mean.
+            lower[2, 0], upper[2, 0] = mean[2, 0] + 8.0, mean[2, 0] + 9.0
+        cfg = SamplerConfig(n_samples=64, burn_in_sweeps=3, thinning=2)
+        real = mvn._trunc_std_normal
+        tails = []
+
+        def spying(rng_, u, ab, *buffers):
+            tails.append(np.where(ab[0] > 0, -ab[0], ab[1]).min() <= -mvn._FAR_TAIL)
+            return real(rng_, u, ab, *buffers)
+
+        monkeypatch.setattr(mvn, "_trunc_std_normal", spying)
+        for rows, far in ((slice(0, 2), False), (slice(0, 3), True)):
+            tails.clear()
+            p, rect = MvnProblem(mean[rows], cov), Rectangle(lower[rows], upper[rows])
+            got = sample_truncated(p, rect, cfg, 21)
+            assert any(tails) if far else not all(tails)
+            np.testing.assert_array_equal(got, sample_truncated_reference(p, rect, cfg, 21))
 
     def test_far_tail_interval(self):
         # Intervals entirely beyond 4 sd exercise the rejection path; the
