@@ -1,9 +1,14 @@
 """Command-line surface: train, eval, predict, export, cv, synth.
 
 Run configuration is a flat ``key = value`` text file (``#`` comments);
-unknown keys are errors, and repeatable ``--set key=value`` flags override
-file values. All randomness flows from one ``--seed`` through named
-sub-streams, so runs are reproducible end to end.
+repeatable ``--set key=value`` flags of ``train`` and ``cv`` override file
+values. ``train``, ``cv`` and ``synth`` read it by one rule: the keys are
+the fields of their config dataclasses (``synth`` adds ``rho`` and
+``sigma_csv``), and the first unknown key in file order, then the first
+value that does not parse, then the first value the dataclass rejects, is
+a configuration error. The AdaGrad epsilon is not a key: it is fixed at
+:data:`dmse.training.ADAGRAD_EPSILON`. All randomness flows from one
+``--seed`` through named sub-streams, so runs are reproducible end to end.
 
 Exit codes: 2 for configuration errors, 3 for data errors, 4 for a
 training abort.
@@ -27,16 +32,13 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DimMismatch, DmseError, NonFiniteGradient, NotPositiveDefinite
 from .evaluation import evaluate
 from .model import mu_forward, sigma_from_lambda
-from .mvn import MvnProblem, Rectangle, SamplerConfig, cdf_rectangles
+from .mvn import DEFAULT_CDF_TOL, MvnProblem, Rectangle, SamplerConfig, cdf_rectangles
 from .seeding import derive_seed
 from .training import TrainConfig, kfold_split, train
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_TRAINING = 4
-
-_TRAIN_KEYS = {f.name: f.type for f in fields(TrainConfig) if f.name != "sampler"}
-_SAMPLER_KEYS = {f.name: f.type for f in fields(SamplerConfig)}
 
 
 # ---------------------------------------------------------------------------
@@ -61,48 +63,9 @@ def parse_flat_config(text: str) -> dict:
     return out
 
 
-def _parse_hidden_dims(value: str) -> tuple[int, ...]:
-    v = value.strip().lower()
-    if v in ("", "none"):
-        return ()
-    try:
-        return tuple(int(p) for p in value.split(","))
-    except ValueError:
-        raise ConfigError(f"hidden_dims must be comma-separated ints or 'none', got {value!r}") from None
-
-
-def _coerce(key: str, value: str):
-    """``value`` parsed as the type of config field ``key``."""
-    if key == "hidden_dims":
-        return _parse_hidden_dims(value)
-    parse = {"int": int, "float": float}.get(_TRAIN_KEYS.get(key) or _SAMPLER_KEYS.get(key))
-    if parse is None:
-        raise ConfigError(f"unknown config key {key!r}")
-    try:
-        return parse(value)
-    except ValueError:
-        raise ConfigError(f"key {key!r}: cannot parse {value!r}") from None
-
-
-def build_train_config(entries: dict) -> TrainConfig:
-    """Assemble TrainConfig + SamplerConfig from flat key/value strings."""
-    train_kwargs, sampler_kwargs = {}, {}
-    for key, raw in entries.items():
-        value = _coerce(key, raw)
-        if key in _TRAIN_KEYS:
-            train_kwargs[key] = value
-        elif key in _SAMPLER_KEYS:
-            sampler_kwargs[key] = value
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-    try:
-        sampler = SamplerConfig(**sampler_kwargs)
-        return TrainConfig(sampler=sampler, **train_kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def load_run_config(path: str | None, overrides) -> TrainConfig:
+def read_config(path: str | None, overrides=()) -> dict:
+    """The entries of config file ``path`` (none if ``path`` is None), then
+    the ``key=value`` strings of ``overrides``, which win."""
     entries = {}
     if path:
         try:
@@ -110,12 +73,54 @@ def load_run_config(path: str | None, overrides) -> TrainConfig:
                 entries = parse_flat_config(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    for item in overrides or []:
+    for item in overrides or ():
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         entries[key.strip()] = value.strip()
-    return build_train_config(entries)
+    return entries
+
+
+def _parse_hidden_dims(value: str) -> tuple[int, ...]:
+    if value.strip().lower() in ("", "none"):
+        return ()
+    return tuple(int(p) for p in value.split(","))
+
+
+# Keyed by the annotation's text: the config dataclasses' modules postpone
+# the evaluation of annotations, so ``Field.type`` is a string.
+_FIELD_PARSERS = {"int": int, "float": float, "str": str, "tuple[int, ...]": _parse_hidden_dims}
+
+
+def _field_parsers(cls) -> dict:
+    """A parser for each field of dataclass ``cls`` that a config can set."""
+    return {f.name: _FIELD_PARSERS[f.type] for f in fields(cls) if f.type in _FIELD_PARSERS}
+
+
+def _parsed(entries: dict, parsers: dict) -> dict:
+    """``entries`` with each value parsed by its key's parser. The first key
+    (in order) without a parser is an error, then the first value it rejects."""
+    for key in entries:
+        if key not in parsers:
+            raise ConfigError(f"unknown config key {key!r}")
+    out = {}
+    for key, value in entries.items():
+        try:
+            out[key] = parsers[key](value)
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"key {key!r}: cannot parse {value!r} ({exc})") from None
+    return out
+
+
+def build_train_config(entries: dict) -> TrainConfig:
+    """Assemble TrainConfig + SamplerConfig from flat key/value strings."""
+    sampler_parsers = _field_parsers(SamplerConfig)
+    values = _parsed(entries, {**_field_parsers(TrainConfig), **sampler_parsers})
+    sampler = {key: values.pop(key) for key in sampler_parsers if key in values}
+    try:
+        return TrainConfig(sampler=SamplerConfig(**sampler), **values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +180,7 @@ def _jsonl_sink(fh):
 
 
 def cmd_train(args) -> int:
-    cfg = load_run_config(args.config, args.set)
+    cfg = build_train_config(read_config(args.config, args.set))
     if args.seed is not None:
         cfg = replace(cfg, seed=derive_seed(args.seed, "train"))
     dataset = dataio.load_csv(args.data)
@@ -270,7 +275,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    cfg = load_run_config(args.config, args.set)
+    cfg = build_train_config(read_config(args.config, args.set))
     dataset = dataio.load_csv(args.data)
     if not 2 <= args.k <= len(dataset):
         raise ConfigError(f"--k must be in [2, n_obs={len(dataset)}], got {args.k}")
@@ -320,20 +325,11 @@ def cmd_cv(args) -> int:
 
 
 def _build_synth_spec(entries: dict) -> dataio.SynthSpec:
-    parsers = {"n_species": int, "m_features": int, "n_obs": int, "mu_map": str, "seed": int,
-               "mu_scale": float, "rho": float, "sigma_csv": read_correlation_csv}
-    unknown = set(entries) - set(parsers)
-    if unknown:
-        raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
-    missing = [key for key in ("n_species", "m_features", "n_obs") if key not in entries]
+    spec = _parsed(entries, {**_field_parsers(dataio.SynthSpec), "rho": float,
+                             "sigma_csv": read_correlation_csv})
+    missing = [key for key in ("n_species", "m_features", "n_obs") if key not in spec]
     if missing:
         raise ConfigError(f"missing required key {missing[0]!r}")
-    spec = {}
-    for key, value in entries.items():
-        try:
-            spec[key] = parsers[key](value)
-        except (ValueError, IndexError) as exc:
-            raise ConfigError(f"key {key!r}: cannot parse {value!r} ({exc})") from None
     rho = spec.pop("rho", 0.0)
     if "sigma_csv" in spec:
         sigma = spec.pop("sigma_csv")[1]
@@ -350,11 +346,7 @@ def _build_synth_spec(entries: dict) -> dataio.SynthSpec:
 
 
 def cmd_synth(args) -> int:
-    try:
-        with open(args.spec_config, encoding="utf-8") as fh:
-            entries = parse_flat_config(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {args.spec_config!r}: {exc}") from exc
+    entries = read_config(args.spec_config)
     if args.seed is not None:
         entries["seed"] = str(derive_seed(args.seed, "synth"))
     spec = _build_synth_spec(entries)
@@ -392,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a checkpoint on a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=DEFAULT_CDF_TOL)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-prefix")
     p.set_defaults(func=cmd_eval)
@@ -402,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--joint-patterns", help="comma-separated 0/1 strings")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=DEFAULT_CDF_TOL)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_predict)
 

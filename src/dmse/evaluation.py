@@ -18,6 +18,7 @@ from scipy.special import log_ndtr, ndtr
 from .dataio import Dataset, apply_standardization
 from .errors import DegenerateLabels, DimMismatch
 from .model import ModelParams, joint_estimates_at, mu_forward, sum_log_values
+from .mvn import DEFAULT_CDF_TOL
 from .seeding import derive_seed
 
 __all__ = ["EvalReport", "auc", "evaluate"]
@@ -110,7 +111,7 @@ def auc(scores, labels) -> float:
 def evaluate(
     params: ModelParams,
     dataset: Dataset,
-    cdf_tol: float = 1e-6,
+    cdf_tol: float = DEFAULT_CDF_TOL,
     seed: int = 0,
 ) -> EvalReport:
     """Score a model on a raw dataset.

@@ -58,12 +58,10 @@ class MlpTape:
     """Per-layer intermediates of one forward call, for the reverse pass.
 
     ``activations[0]`` is the input; ``activations[k]`` for k >= 1 is layer
-    k's post-activation output. ``pre_activations[k]`` is layer k+1's
-    affine output before the nonlinearity.
+    k's post-activation output.
     """
 
     activations: list[np.ndarray]
-    pre_activations: list[np.ndarray]
 
     @property
     def output(self) -> np.ndarray:
@@ -113,14 +111,12 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpTape]:
         )
     n_layers = len(params.weights)
     activations = [x]
-    pre_activations = []
     a = x
     for k in range(n_layers):
         z = a @ params.weights[k].T + params.biases[k]
-        pre_activations.append(z)
         a = np.tanh(z) if k < n_layers - 1 else z
         activations.append(a)
-    return a, MlpTape(activations, pre_activations)
+    return a, MlpTape(activations)
 
 
 def mlp_backward(

@@ -300,28 +300,22 @@ def _batch_shape(problem: MvnProblem, rect: Rectangle) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _sieve_primes(n: int) -> np.ndarray:
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    s = np.ones(n + 1, dtype=bool)
-    s[:2] = False
-    for p in range(2, int(n**0.5) + 1):
-        if s[p]:
-            s[p * p :: p] = False
-    return np.nonzero(s)[0]
+def _largest_prime_at_most(n: int) -> int:
+    while any(n % p == 0 for p in range(2, math.isqrt(n) + 1)):
+        n -= 1
+    return n
 
 
 def _prime_factors(n: int) -> list[int]:
-    fs = []
-    for p in _sieve_primes(int(math.isqrt(n)) + 1):
-        p = int(p)
+    """The distinct prime factors of ``n``, ascending, by trial division."""
+    fs, p = [], 2
+    while p * p <= n:
         if n % p == 0:
             fs.append(p)
             while n % p == 0:
                 n //= p
-        if n == 1:
-            break
-    if n != 1:
+        p += 1
+    if n > 1:
         fs.append(n)
     return fs
 
@@ -361,8 +355,7 @@ def _cbc_lattice(dim: int, n_points: int) -> tuple[tuple[float, ...], int]:
     ``n_points`` is rounded down to the nearest prime; the returned
     generator must be used with exactly that many points.
     """
-    primes = _sieve_primes(n_points + 1)
-    n = int(primes[-1])
+    n = _largest_prime_at_most(n_points + 1)
     if dim == 1:
         return (1.0 / n,), n
     gm = np.hstack([1.0, 0.8 ** np.arange(dim - 1)])

@@ -37,7 +37,12 @@ from .seeding import derive_seed
 
 log = logging.getLogger(__name__)
 
+#: Added to the root of each AdaGrad accumulator, so an entry that has
+#: seen only zero gradients takes no step instead of dividing by zero.
+ADAGRAD_EPSILON = 1e-8
+
 __all__ = [
+    "ADAGRAD_EPSILON",
     "TrainConfig",
     "AdagradState",
     "TrainingLog",
@@ -59,7 +64,6 @@ class TrainConfig:
     """
 
     learning_rate: float = 0.05
-    adagrad_epsilon: float = 1e-8
     minibatch_size: int = 32
     epochs: int = 30
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
@@ -72,7 +76,6 @@ class TrainConfig:
     def __post_init__(self):
         for key, ok, need in (
             ("learning_rate", 0 < self.learning_rate < math.inf, "finite and > 0"),
-            ("adagrad_epsilon", 0 < self.adagrad_epsilon < math.inf, "finite and > 0"),
             ("cdf_tol", 0 < self.cdf_tol < math.inf, "finite and > 0"),
             ("minibatch_size", self.minibatch_size >= 1, ">= 1"),
             ("epochs", self.epochs >= 0, ">= 0"),
@@ -114,9 +117,9 @@ class TrainingLog:
             sink(rec)
 
 
-def _ascent(tensor: np.ndarray, acc: np.ndarray, g: np.ndarray, lr: float, eps: float):
+def _ascent(tensor: np.ndarray, acc: np.ndarray, g: np.ndarray, lr: float):
     acc += g * g
-    tensor += lr * g / (np.sqrt(acc) + eps)
+    tensor += lr * g / (np.sqrt(acc) + ADAGRAD_EPSILON)
 
 
 def adagrad_step(
@@ -134,9 +137,8 @@ def adagrad_step(
     """
     if not bundle.is_finite():
         raise NonFiniteGradient(f"non-finite gradient at step {state.step}")
-    lr, eps = cfg.learning_rate, cfg.adagrad_epsilon
     for tensor, acc, g in zip(params.tensors(), state.acc, bundle.tensors(), strict=True):
-        _ascent(tensor, acc, g, lr, eps)
+        _ascent(tensor, acc, g, cfg.learning_rate)
     _reperturb_zero_columns(params.Lambda_raw)
     state.step += 1
     return params, state

@@ -78,7 +78,7 @@ class TestConfigParsing:
 
     def test_every_train_and_sampler_field_settable(self):
         cfg = build_train_config({
-            "learning_rate": "0.2", "adagrad_epsilon": "1e-9",
+            "learning_rate": "0.2",
             "minibatch_size": "16", "epochs": "3", "cdf_tol": "1e-4",
             "seed": "9", "d1": "7", "d2": "5", "hidden_dims": "32,16",
             "n_samples": "64", "burn_in_sweeps": "20", "thinning": "3",
@@ -87,9 +87,10 @@ class TestConfigParsing:
         assert cfg.hidden_dims == (32, 16)
         assert cfg.sampler.n_samples == 64
         assert cfg.sampler.thinning == 3
-        # Training derives the sampler seed per step, and runs every epoch
-        # without a validation loop, so none of these is a key.
-        for key in ("rng_seed", "eval_every", "patience"):
+        # Training derives the sampler seed per step, runs every epoch
+        # without a validation loop, and fixes the AdaGrad epsilon, so none
+        # of these is a key.
+        for key in ("rng_seed", "eval_every", "patience", "adagrad_epsilon"):
             with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
                 build_train_config({key: "11"})
 
@@ -113,7 +114,7 @@ class TestConfigParsing:
         for key, value, shown in [
             ("learning_rate", "nan", "nan"),
             ("learning_rate", "inf", "inf"), ("cdf_tol", "-1", "-1.0"),
-            ("cdf_tol", "nan", "nan"), ("adagrad_epsilon", "inf", "inf"),
+            ("cdf_tol", "nan", "nan"),
             ("hidden_dims", "0", "(0,)"), ("hidden_dims", "8,0", "(8, 0)"),
         ]:
             with pytest.raises(ConfigError, match=rf"^{key} must be .*, got {re.escape(shown)}$"):
@@ -261,6 +262,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: DimMismatch:")
         assert "species_00" in err
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "synth"])
+class TestOneConfigRule:
+    """train, cv and synth read and check their config files alike."""
+
+    def run(self, tmp_path, command, text=None):
+        data = write(tmp_path, "d.csv", "sp:a,env:x\n1,0.0\n0,1.0\n")
+        cfg = str(tmp_path / "absent.cfg") if text is None else write(tmp_path, "c.cfg", text)
+        return main({
+            "train": ["train", "--data", data, "--config", cfg, "--out", str(tmp_path / "m.dmse")],
+            "cv": ["cv", "--data", data, "--config", cfg, "--out-dir", str(tmp_path / "cv")],
+            "synth": ["synth", "--spec-config", cfg, "--out", str(tmp_path / "s.csv")],
+        }[command])
+
+    def test_first_unknown_key_in_file_order(self, tmp_path, capsys, command):
+        # A bad value before them is not reached: unknown keys come first.
+        assert self.run(tmp_path, command, "seed = x\nzeta = 1\nalpha = 2\n") == 2
+        assert capsys.readouterr().err == "error: ConfigError: unknown config key 'zeta'\n"
+
+    def test_unparseable_value(self, tmp_path, capsys, command):
+        assert self.run(tmp_path, command, "seed = x\n") == 2
+        assert capsys.readouterr().err == (
+            "error: ConfigError: key 'seed': cannot parse 'x' "
+            "(invalid literal for int() with base 10: 'x')\n"
+        )
+
+    def test_missing_file(self, tmp_path, capsys, command):
+        assert self.run(tmp_path, command) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: ConfigError: cannot read config {str(tmp_path / 'absent.cfg')!r}: "
+        )
 
 
 class TestTrainCommand:

@@ -13,7 +13,9 @@ from dmse.gradients import GradientBundle
 from dmse.mlp import MlpGrads
 from dmse.model import init_model_params, sigma_from_lambda
 from dmse.mvn import SamplerConfig
-from dmse.training import AdagradState, TrainConfig, adagrad_step, kfold_split, train
+from dmse.training import (
+    ADAGRAD_EPSILON, AdagradState, TrainConfig, adagrad_step, kfold_split, train,
+)
 
 
 def scalar_model():
@@ -116,7 +118,7 @@ class TestAdagradStep:
         adagrad_step(params, state, bundle, cfg)
         assert len(state.acc) == len(grads)
         for t0, t1, g, acc in zip(before, listed(params), grads, state.acc):
-            np.testing.assert_array_equal(t1, t0 + 0.1 * g / (np.abs(g) + cfg.adagrad_epsilon))
+            np.testing.assert_array_equal(t1, t0 + 0.1 * g / (np.abs(g) + ADAGRAD_EPSILON))
             np.testing.assert_array_equal(acc, g * g)
 
     def test_accumulators_monotone_and_params_finite_10k_random_steps(self):
