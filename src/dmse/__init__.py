@@ -42,6 +42,6 @@ from .mvn import (
     cholesky,
     sample_truncated,
 )
-from .training import AdagradState, TrainConfig, TrainingLog, adagrad_step, kfold_split, train
+from .training import AdagradState, TrainConfig, adagrad_step, kfold_split, train
 
 __version__ = "0.1.0"

@@ -315,8 +315,9 @@ def cmd_cv(args) -> int:
     for col, name in enumerate(
         ["mean_auc", "joint_loglik_per_obs", "independent_loglik_per_obs"]
     ):
-        lines.append(f"{name}_mean = {arr[:, col].mean()!r}")
-        lines.append(f"{name}_std = {arr[:, col].std(ddof=1) if len(metrics) > 1 else 0.0!r}")
+        std = arr[:, col].std(ddof=1) if len(metrics) > 1 else 0.0
+        lines.append(f"{name}_mean = {float(arr[:, col].mean())!r}")
+        lines.append(f"{name}_std = {float(std)!r}")
     text = "\n".join(lines) + "\n"
     with open(os.path.join(args.out_dir, "aggregate.txt"), "w", encoding="utf-8") as fh:
         fh.write(text)

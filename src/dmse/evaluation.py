@@ -17,7 +17,7 @@ from scipy.special import log_ndtr, ndtr
 
 from .dataio import Dataset, apply_standardization
 from .errors import DegenerateLabels, DimMismatch
-from .model import ModelParams, joint_estimates_at, mu_forward, sum_log_values
+from .model import ModelParams, joint_estimates, mu_forward, sum_log_values
 from .mvn import DEFAULT_CDF_TOL
 from .seeding import derive_seed
 
@@ -119,7 +119,7 @@ def evaluate(
     Features are standardized with the model's stored statistics and mapped
     to latent means once. Those means give the AUC scores ``Phi(mu)`` and
     the independent log-likelihood, the closed-form probit factorization
-    under the identity correlation. One :func:`joint_estimates_at` pass at
+    under the identity correlation. One :func:`joint_estimates` pass at
     the same means gives the joint log-likelihood and its integrator
     health. Raises :class:`DimMismatch` for a dataset of another schema or
     with no rows.
@@ -151,7 +151,7 @@ def evaluate(
         defined.append(value)
     mean_auc = float(np.mean(defined)) if defined else float("nan")
 
-    estimates = joint_estimates_at(params, presence, mu, cdf_tol, derive_seed(seed, "joint"))
+    estimates = joint_estimates(params, presence, mu, cdf_tol, derive_seed(seed, "joint"))
     independent = float(np.sum(log_ndtr((2.0 * presence - 1.0) * mu)))
     return EvalReport(
         per_species, mean_auc, sum_log_values(estimates), independent, len(dataset),

@@ -100,27 +100,24 @@ def grad_mu_sigma(
     # Between-chain SEs. For G only the 1/2 f f^T term fluctuates; chains
     # have equal length, so ff_mean is also the mean of the chain means,
     # and one chain at a time keeps memory at one matrix per observation.
-    if chains < 2:
-        se_mu, se_sigma = np.full_like(d_mu, np.inf), np.full_like(d_sigma, np.inf)
-    else:
-        se_mu = f_chains.mean(axis=-2).std(axis=0, ddof=1) / np.sqrt(chains)
-        sq_dev = np.zeros_like(d_sigma)
-        for f in f_chains:
-            sq_dev += (np.swapaxes(f, -1, -2) @ f / kept - ff_mean) ** 2
-        se_sigma = 0.5 * np.sqrt(sq_dev / (chains - 1) / chains)
+    se_mu = f_chains.mean(axis=-2).std(axis=0, ddof=1) / np.sqrt(chains)
+    sq_dev = np.zeros_like(d_sigma)
+    for f in f_chains:
+        sq_dev += (np.swapaxes(f, -1, -2) @ f / kept - ff_mean) ** 2
+    se_sigma = 0.5 * np.sqrt(sq_dev / (chains - 1) / chains)
     return MuSigmaGrad(d_mu, d_sigma, se_mu, se_sigma)
 
 
 def lambda_grad_from_sigma(lambda_raw: np.ndarray, d_sigma: np.ndarray) -> np.ndarray:
     """Backpropagate a covariance gradient through the normalized Gram map.
 
-    Uses the symmetrized ``d_sigma`` with its diagonal discarded (the
-    diagonal is pinned at 1 and cannot move). For each raw column the
-    result is tangent to the unit sphere:
+    ``d_sigma`` must be symmetric, as :func:`grad_mu_sigma` returns it and
+    as its minibatch mean stays; its diagonal is discarded (the diagonal is
+    pinned at 1 and cannot move). For each raw column the result is
+    tangent to the unit sphere:
     ``(2/||lambda_j||) (I - lhat_j lhat_j^T) (Lhat d_sigma[:, j])``.
     """
-    d = 0.5 * (d_sigma + d_sigma.T)
-    d = d - np.diag(np.diag(d))
+    d = d_sigma - np.diag(np.diag(d_sigma))
     norms = np.linalg.norm(lambda_raw, axis=0)
     lhat = lambda_raw / norms
     grad_hat = 2.0 * (lhat @ d)

@@ -10,8 +10,9 @@ model's network has no layers, so its embedding is ``W @ l``.
 The joint probability of a presence/absence pattern is the probability
 that a latent normal vector with mean ``mu(l)`` and the learned
 correlation matrix falls in the rectangle encoding the pattern;
-:func:`joint_estimates` integrates it for every row of a dataset with one
-forward pass and one factorization, and :func:`log_likelihood` sums the
+:func:`joint_estimates` integrates it for every row of a dataset at its
+latent means with one factorization, and :func:`log_likelihood` maps
+standardized features to those means in one forward pass and sums the
 logs.
 
 Model-layer functions expect features already standardized with the
@@ -38,7 +39,6 @@ __all__ = [
     "sigma_from_lambda",
     "mu_forward",
     "joint_estimates",
-    "joint_estimates_at",
     "sum_log_values",
     "log_likelihood",
 ]
@@ -233,34 +233,18 @@ def mu_forward(
 def joint_estimates(
     params: ModelParams,
     presence: np.ndarray,
-    features: np.ndarray,
-    tol: float = DEFAULT_CDF_TOL,
-    seed: int = 0,
-) -> list[CdfEstimate]:
-    """Integrator estimates of the joint probabilities of ``(N, n)``
-    presence rows at ``(N, m)`` standardized features.
-
-    One forward pass and one factorization serve every row; row ``i``
-    integrates with seed ``seed XOR i``, and a row that misses the tolerance
-    is kept (:func:`~dmse.mvn.cdf_rectangles` logs it).
-    """
-    presence = np.asarray(presence)
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 2 or presence.shape != (len(features), params.n_species):
-        raise DimMismatch(f"presence {presence.shape} does not match features {features.shape}")
-    mu, _, _ = mu_forward(params, features)
-    return joint_estimates_at(params, presence, mu, tol, seed)
-
-
-def joint_estimates_at(
-    params: ModelParams,
-    presence: np.ndarray,
     mu: np.ndarray,
     tol: float = DEFAULT_CDF_TOL,
     seed: int = 0,
 ) -> list[CdfEstimate]:
-    """:func:`joint_estimates` at ``(N, n)`` latent means already mapped
-    from the features, with the same seeds."""
+    """Integrator estimates of the joint probabilities of ``(N, n)``
+    presence rows at ``(N, n)`` latent means, as :func:`mu_forward` maps
+    them from standardized features.
+
+    One factorization serves every row; row ``i`` integrates with seed
+    ``seed XOR i``, and a row that misses the tolerance is kept
+    (:func:`~dmse.mvn.cdf_rectangles` logs it).
+    """
     problem = MvnProblem(mu, sigma_from_lambda(params.Lambda_raw))
     seeds = [seed ^ i for i in range(len(mu))]
     return cdf_rectangles(problem, Rectangle.from_presence(presence), seeds, tol)
@@ -283,6 +267,13 @@ def log_likelihood(
 ) -> float:
     """Sum of the log joint probabilities of ``(N, n)`` presence rows at
     ``(N, m)`` standardized features, each floored at 1e-300: the
-    :func:`sum_log_values` of :func:`joint_estimates`. Zero rows give 0.0.
+    :func:`sum_log_values` of :func:`joint_estimates` at the features'
+    latent means. Zero rows give 0.0; presence and feature shapes that
+    disagree raise :class:`DimMismatch`.
     """
-    return sum_log_values(joint_estimates(params, presence, features, tol, seed))
+    presence = np.asarray(presence)
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2 or presence.shape != (len(features), params.n_species):
+        raise DimMismatch(f"presence {presence.shape} does not match features {features.shape}")
+    mu, _, _ = mu_forward(params, features)
+    return sum_log_values(joint_estimates(params, presence, mu, tol, seed))

@@ -224,9 +224,11 @@ class SamplerConfig:
 
     Each observation runs :attr:`chains` chains (``CHAINS``, or fewer when
     ``n_samples`` is smaller), and ``n_samples`` is rounded up to whole
-    chains. Each chain discards ``burn_in_sweeps`` sweeps, then keeps one
-    draw every ``thinning`` sweeps. The random seed is not part of the
-    configuration: each call of :func:`sample_truncated` takes its own.
+    chains. It must be at least 2, the fewest draws (one per chain) that a
+    between-chain standard error needs. Each chain discards
+    ``burn_in_sweeps`` sweeps, then keeps one draw every ``thinning``
+    sweeps. The random seed is not part of the configuration: each call of
+    :func:`sample_truncated` takes its own.
     """
 
     n_samples: int = 256
@@ -235,7 +237,7 @@ class SamplerConfig:
 
     def __post_init__(self):
         for key, ok, need in (
-            ("n_samples", self.n_samples >= 1, ">= 1"),
+            ("n_samples", self.n_samples >= 2, ">= 2"),
             ("burn_in_sweeps", self.burn_in_sweeps >= 0, ">= 0"),
             ("thinning", self.thinning >= 1, ">= 1"),
         ):
@@ -387,9 +389,9 @@ def _ordered_cholesky(cov, lower, upper, singular_tol=1e-10):
     deviation is 1. Handles positive semidefinite covariances by zeroing
     exhausted pivots.
 
-    Returns ``(cho, lo, hi, perm)`` in the transformed coordinates, where
-    ``cho`` is lower triangular and transformed variable ``k`` of row ``r``
-    is original variable ``perm[r, k]``.
+    Returns ``(cho, lo, hi)`` in the transformed coordinates, where ``cho``
+    is lower triangular. The permutation itself is not kept: the
+    probability of the rectangle does not depend on it.
     """
     cho = np.array(cov, dtype=float)
     b, n = cho.shape[:2]
@@ -405,7 +407,6 @@ def _ordered_cholesky(cov, lower, upper, singular_tol=1e-10):
     cho[:, iu[0], iu[1]] = cho[:, iu[1], iu[0]]
 
     rows = np.arange(b)
-    perm = np.tile(np.arange(n), (b, 1))
     y = np.zeros((b, n))
     for k in range(n):
         # Conditional mass of every remaining candidate given y[:, :k]; an
@@ -426,7 +427,7 @@ def _ordered_cholesky(cov, lower, upper, singular_tol=1e-10):
         # Swap variables k and im of every row (a no-op where im == k).
         cho[rows, k], cho[rows, im] = cho[rows, im], cho[rows, k]
         cho[rows, :, k], cho[rows, :, im] = cho[rows, :, im], cho[rows, :, k]
-        for v in (lo, hi, perm):
+        for v in (lo, hi):
             v[rows, k], v[rows, im] = v[rows, im], v[rows, k]
         cho[:, k, k] = ck
         cho[:, k + 1 :, k] /= ck[:, None]
@@ -446,7 +447,7 @@ def _ordered_cholesky(cov, lower, upper, singular_tol=1e-10):
         # A row with no live pivot left: zero what is left of its factor, so
         # its remaining diagonal stays exhausted at every later step.
         cho[~found, k:, k:] = 0.0
-    return np.tril(cho), lo, hi, perm
+    return np.tril(cho), lo, hi
 
 
 def _log_mass(a, b):
@@ -721,7 +722,7 @@ def cdf_rectangles(
         if row % step == 0:
             part = slice(row, row + step)
             flip = sign[part, :, None] * sign[part, None, :]
-            cho, tlo, thi, _ = _ordered_cholesky(problem.cov * flip, lo[part], hi[part])
+            cho, tlo, thi = _ordered_cholesky(problem.cov * flip, lo[part], hi[part])
             if math.isfinite(tol) and n > 2:
                 # The likelihood ratio makes the integrand singular at the
                 # lattice's ends, which costs where the plain integrand is

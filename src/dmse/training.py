@@ -7,9 +7,11 @@ observation's chains (from one seeded stream per step), and one chain-rule
 assembly. The correlation matrix, its factor, and its inverse are computed
 once per step since they do not depend on the features.
 
-Each step also logs the minibatch log-likelihood, at ``tol=math.inf`` (one
-lattice pass per observation, never a miss), and its relative error. Every
-epoch runs; held-out data is scored by :func:`dmse.evaluation.evaluate`.
+Each step makes one record, the run's only trace: :func:`train` streams it
+to its sink and returns the list. Besides the gradient's standard error it
+holds the minibatch log-likelihood, at ``tol=math.inf`` (one lattice pass
+per observation, never a miss), and its relative error. Every epoch runs;
+held-out data is scored by :func:`dmse.evaluation.evaluate`.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ __all__ = [
     "ADAGRAD_EPSILON",
     "TrainConfig",
     "AdagradState",
-    "TrainingLog",
     "adagrad_step",
     "train",
     "kfold_split",
@@ -100,23 +101,6 @@ class AdagradState:
         return cls([np.zeros_like(t) for t in params.tensors()])
 
 
-@dataclass
-class TrainingLog:
-    """Step records of one run.
-
-    Each holds: step, epoch, minibatch mean log-likelihood estimate and its
-    mean relative error, mean gradient standard error, wall time, and skip
-    flag. Records are plain dicts so they stream as line-delimited JSON.
-    """
-
-    steps: list[dict] = field(default_factory=list)
-
-    def record_step(self, rec: dict, sink=None) -> None:
-        self.steps.append(rec)
-        if sink is not None:
-            sink(rec)
-
-
 def _ascent(tensor: np.ndarray, acc: np.ndarray, g: np.ndarray, lr: float):
     acc += g * g
     tensor += lr * g / (np.sqrt(acc) + ADAGRAD_EPSILON)
@@ -127,8 +111,8 @@ def adagrad_step(
     state: AdagradState,
     bundle: GradientBundle,
     cfg: TrainConfig,
-) -> tuple[ModelParams, AdagradState]:
-    """One AdaGrad ascent update in place; returns the mutated pair.
+) -> None:
+    """One AdaGrad ascent update of ``params`` and ``state``, in place.
 
     ``bundle`` must already be averaged over its minibatch. Raises
     :class:`NonFiniteGradient` (leaving parameters and accumulators
@@ -141,16 +125,18 @@ def adagrad_step(
         _ascent(tensor, acc, g, cfg.learning_rate)
     _reperturb_zero_columns(params.Lambda_raw)
     state.step += 1
-    return params, state
 
 
 def _minibatch_bundle(params, presence, features, indices, cfg, sampler_seed, loglik_seed):
-    """Averaged bundle plus logging statistics for one minibatch.
+    """Averaged bundle plus the step record's estimator fields for one minibatch.
 
     ``indices`` pick the minibatch's rows of the standardized ``presence``
     and ``features`` matrices. The sampler draws from ``sampler_seed``;
     row ``i`` integrates its logged likelihood with ``loglik_seed ^ i``.
-    Returns ``(bundle, mean_loglik, mean_loglik_rel_err, mean_grad_se)``.
+    Returns ``(bundle, fields)``: ``fields`` holds the mean log-likelihood
+    (``minibatch_loglik``), its mean relative error
+    (``minibatch_loglik_err``) and the mean gradient standard error
+    (``grad_se``).
     """
     bits, feats = presence[indices], features[indices]
     mu, tape, h = mu_forward(params, feats)
@@ -164,7 +150,11 @@ def _minibatch_bundle(params, presence, features, indices, cfg, sampler_seed, lo
         value = max(est.value, 1e-300)
         stats.append((np.log(value), est.error_estimate / value))
     mean_ll, mean_err = np.mean(stats, axis=0)
-    return bundle, float(mean_ll), float(mean_err), float(np.mean(musig.se_mu))
+    return bundle, {
+        "minibatch_loglik": float(mean_ll),
+        "minibatch_loglik_err": float(mean_err),
+        "grad_se": float(np.mean(musig.se_mu)),
+    }
 
 
 def train(
@@ -172,13 +162,15 @@ def train(
     cfg: TrainConfig,
     init_seed: int = 0,
     log_sink=None,
-) -> tuple[ModelParams, TrainingLog]:
+) -> tuple[ModelParams, list[dict]]:
     """Maximize the dataset log-likelihood from a seeded initialization.
 
     The dataset is standardized internally and the statistics are stored in
-    the returned parameters. Every one of ``cfg.epochs`` epochs runs, and
-    each step's record goes to ``log_sink`` as it is made. The whole run is
-    deterministic given ``cfg.seed`` and ``init_seed``.
+    the returned parameters. Every one of ``cfg.epochs`` epochs runs. Each
+    step's record, a plain dict of step, epoch, its minibatch's estimator
+    fields, wall time and skip flag, goes to ``log_sink`` as it is made;
+    ``(params, records)`` is returned. The whole run is deterministic
+    given ``cfg.seed`` and ``init_seed``.
 
     Aborts (raising :class:`NonFiniteGradient`) only if more than half the
     steps of an epoch were skipped for non-finite gradients. Raises
@@ -209,7 +201,7 @@ def train(
         standardization=stats,
     )
     state = AdagradState.zeros_like(params)
-    tlog = TrainingLog()
+    records = []
 
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
     sampler_base = derive_seed(cfg.seed, "sampler")
@@ -223,7 +215,7 @@ def train(
         for start in range(0, n_obs, cfg.minibatch_size):
             idx = order[start : start + cfg.minibatch_size]
             step += 1
-            bundle, mean_ll, mean_ll_err, mean_se = _minibatch_bundle(
+            bundle, fields = _minibatch_bundle(
                 params, presence, features, idx, cfg,
                 sampler_seed=derive_seed(sampler_base, step),
                 loglik_seed=sampler_base ^ (epoch << 32),
@@ -236,23 +228,16 @@ def train(
                 skipped = True
                 skipped_this_epoch += 1
                 log.warning("step %d skipped: non-finite gradient", step)
-            tlog.record_step(
-                {
-                    "step": step,
-                    "epoch": epoch,
-                    "minibatch_loglik": mean_ll,
-                    "minibatch_loglik_err": mean_ll_err,
-                    "grad_se": mean_se,
-                    "wall_time": time.monotonic() - t0,
-                    "skipped": skipped,
-                },
-                log_sink,
-            )
+            rec = {"step": step, "epoch": epoch, **fields,
+                   "wall_time": time.monotonic() - t0, "skipped": skipped}
+            records.append(rec)
+            if log_sink is not None:
+                log_sink(rec)
         if steps_this_epoch > 0 and skipped_this_epoch > steps_this_epoch / 2:
             raise NonFiniteGradient(
                 f"{skipped_this_epoch}/{steps_this_epoch} steps skipped in epoch {epoch}"
             )
-    return params, tlog
+    return params, records
 
 
 def kfold_split(n_obs: int, k: int, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -141,7 +141,7 @@ def batch_se(values: np.ndarray, n_batches: int = 32) -> np.ndarray:
 
 
 def ordered_cholesky_loop(cov, lower, upper, singular_tol=1e-10):
-    """Reference ordering: ``(cho, lo, hi, perm)`` by explicit Python loops.
+    """Reference ordering: ``(cho, lo, hi)`` by explicit Python loops.
 
     Greedy Genz ordering with the ``<=`` tie rule (the last candidate of
     smallest conditional mass wins) and a row-by-row Schur update.
@@ -157,7 +157,6 @@ def ordered_cholesky_loop(cov, lower, upper, singular_tol=1e-10):
     cho /= dc
     cho /= dc[:, None]
 
-    perm = np.arange(n)
     y = np.zeros(n)
     for k in range(n):
         epk = (k + 1) * singular_tol
@@ -185,7 +184,6 @@ def ordered_cholesky_loop(cov, lower, upper, singular_tol=1e-10):
             cho[im, k + 1 : im] = t
             lo[k], lo[im] = lo[im], lo[k]
             hi[k], hi[im] = hi[im], hi[k]
-            perm[k], perm[im] = perm[im], perm[k]
         if ck > epk:
             cho[k, k] = ck
             cho[k, k + 1 :] = 0.0
@@ -208,7 +206,7 @@ def ordered_cholesky_loop(cov, lower, upper, singular_tol=1e-10):
         else:
             cho[k:, k] = 0.0
             y[k] = 0.5 * (lo[k] + hi[k])
-    return cho, lo, hi, perm
+    return cho, lo, hi
 
 
 def lattice_means_dense(cho, lo, hi, gen, n_points, shifts, mu=None):

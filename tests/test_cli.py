@@ -227,12 +227,16 @@ class TestExitCodes:
         (["train", "--set", "patience=2"], "unknown config key 'patience'"),
         (["train", "--set", "eval_every=5"], "unknown config key 'eval_every'"),
         (["train", "--set", "cutoff_k=5"], "unknown config key 'cutoff_k'"),
+        # One draw is one chain, whose between-chain SE would log Infinity.
+        (["train", "--set", "n_samples=1"], "n_samples must be >= 2, got 1"),
+        (["cv", "--set", "n_samples=1"], "n_samples must be >= 2, got 1"),
         (["eval", "--tol", "-1"], "--tol must be finite and > 0, got -1.0"),
         (["eval", "--tol", "nan"], "--tol must be finite and > 0, got nan"),
         (["predict", "--tol", "0"], "--tol must be finite and > 0, got 0.0"),
         (["cv", "--k", "5"], "--k must be in [2, n_obs=2], got 5"),
         (["cv", "--k", "1"], "--k must be in [2, n_obs=2], got 1"),
-    ], ids=["train-patience", "train-eval_every", "train-cutoff_k", "eval-tol-negative",
+    ], ids=["train-patience", "train-eval_every", "train-cutoff_k", "train-one-draw",
+            "cv-one-draw", "eval-tol-negative",
             "eval-tol-nan", "predict-tol-zero", "cv-k-above-rows", "cv-k-1"])
     def test_rejected_argument_is_2(self, tmp_path, capsys, argv, named):
         data = write(tmp_path, "d.csv", "sp:a,env:x\n1,0.0\n0,1.0\n")
@@ -301,7 +305,13 @@ class TestTrainCommand:
         ws, data, cfg, model = workspace
         assert (ws / "model.dmse").exists()
         log_lines = (ws / "model.dmse.log").read_text().splitlines()
-        records = [json.loads(line) for line in log_lines]
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        # Strict JSON: NaN and Infinity are Python's extensions.
+        records = [json.loads(line, parse_constant=reject) for line in log_lines]
+        assert records
         assert all({"step", "epoch", "minibatch_loglik", "grad_se", "wall_time"}
                    <= set(r) for r in records)
 
@@ -526,9 +536,14 @@ class TestCvCommand:
                      "--set", "minibatch_size=4"]) == 0
         for i in range(3):
             assert (out / f"fold_{i}.txt").exists()
-        agg = (out / "aggregate.txt").read_text()
-        assert "folds_completed = 3 of 3" in agg
-        assert "joint_loglik_per_obs_mean" in agg
+        first, *rest = (out / "aggregate.txt").read_text().splitlines()
+        assert first == "folds_completed = 3 of 3"
+        # Every statistic is a plain float literal, not a numpy repr.
+        stats = dict(line.split(" = ") for line in rest)
+        assert len(stats) == len(rest) == 6
+        assert "joint_loglik_per_obs_mean" in stats
+        for value in stats.values():
+            float(value)
 
     def test_seed_key_applies_unless_the_flag_overrides_it(self, workspace):
         ws, data, cfg, model = workspace

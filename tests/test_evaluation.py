@@ -198,10 +198,15 @@ class TestIntegratorHealth:
         self.params = truth_model(coef, sigma)
         self.data = generate(coef, sigma, 12, seed=31)
 
+    def estimates(self, tol, seed):
+        # The model's standardization is the identity, so the raw features
+        # are the standardized ones evaluate maps.
+        mu, _, _ = model.mu_forward(self.params, self.data.features)
+        return joint_estimates(self.params, self.data.presence, mu, tol, seed)
+
     def test_within_tolerance(self):
         report = evaluate(self.params, self.data, cdf_tol=1e-4, seed=32)
-        ests = joint_estimates(self.params, self.data.presence, self.data.features,
-                               1e-4, derive_seed(32, "joint"))
+        ests = self.estimates(1e-4, derive_seed(32, "joint"))
         assert report.tol_misses == 0
         assert report.max_rel_err == max(e.error_estimate / e.value for e in ests)
         assert 0.0 < report.max_rel_err <= 1e-4
@@ -215,15 +220,13 @@ class TestIntegratorHealth:
         with caplog.at_level(logging.WARNING, logger="dmse.mvn"):
             report = evaluate(self.params, self.data, cdf_tol=1e-12, seed=33)
         assert report.tol_misses == len(self.data) == len(caplog.records)
-        ests = joint_estimates(self.params, self.data.presence, self.data.features,
-                               1e-12, derive_seed(33, "joint"))
+        ests = self.estimates(1e-12, derive_seed(33, "joint"))
         assert report.max_rel_err == max(e.error_estimate / e.value for e in ests)
         assert report.max_rel_err > 1e-12
 
     def test_samples_used_is_the_rows_total(self):
         report = evaluate(self.params, self.data, cdf_tol=1e-6, seed=34)
-        ests = joint_estimates(self.params, self.data.presence, self.data.features,
-                               1e-6, derive_seed(34, "joint"))
+        ests = self.estimates(1e-6, derive_seed(34, "joint"))
         assert report.samples_used == sum(e.samples_used for e in ests)
         assert report.samples_used > len(self.data) * 3084
 

@@ -185,7 +185,7 @@ class TestTrain:
     def test_zero_epochs_returns_seeded_initialization(self):
         ds, _ = synth_generate(SynthSpec(n_species=2, m_features=2, n_obs=40, seed=5))
         cfg = quick_cfg(epochs=0)
-        params, tlog = train(ds, cfg, init_seed=11)
+        params, records = train(ds, cfg, init_seed=11)
         _, stats = standardize(ds)
         expected = init_model_params(
             ds.species_names, ds.feature_names, d1=cfg.d1, d2=cfg.d2,
@@ -194,7 +194,7 @@ class TestTrain:
         np.testing.assert_array_equal(params.S, expected.S)
         np.testing.assert_array_equal(params.Lambda_raw, expected.Lambda_raw)
         np.testing.assert_array_equal(params.W, expected.W)
-        assert tlog.steps == []
+        assert records == []
 
     def test_deterministic_end_to_end(self):
         ds, _ = synth_generate(SynthSpec(n_species=2, m_features=2, n_obs=64, seed=6))
@@ -217,9 +217,13 @@ class TestTrain:
 
     def test_log_records_have_contract_fields(self):
         ds, _ = synth_generate(SynthSpec(n_species=1, m_features=1, n_obs=16, seed=9))
-        _, tlog = train(ds, quick_cfg(epochs=1, minibatch_size=8), init_seed=0)
-        assert len(tlog.steps) == 2
-        for rec in tlog.steps:
+        sunk = []
+        _, records = train(ds, quick_cfg(epochs=1, minibatch_size=8), init_seed=0,
+                           log_sink=sunk.append)
+        # One record, two consumers: the sink sees the returned records, in order.
+        assert records == sunk
+        assert len(records) == 2
+        for rec in records:
             assert set(rec) >= {"step", "epoch", "minibatch_loglik", "grad_se",
                                 "wall_time", "skipped", "minibatch_loglik_err"}
             assert rec["minibatch_loglik"] <= 0.0
@@ -242,8 +246,8 @@ class TestTrain:
             cdf_tol=1e-2, seed=13, d1=6, d2=2,
             hidden_dims=(16, 8),
         )
-        params, tlog = train(ds, cfg, init_seed=5)
-        lls = [r["minibatch_loglik"] for r in tlog.steps]
+        params, records = train(ds, cfg, init_seed=5)
+        lls = [r["minibatch_loglik"] for r in records]
         assert np.mean(lls[-10:]) > np.mean(lls[:10])  # training objective rose
         report = evaluate(params, heldout, cdf_tol=1e-3, seed=2)
         assert report.mean_auc > 0.9
