@@ -99,7 +99,8 @@ def _field_parsers(cls) -> dict:
 
 def _parsed(entries: dict, parsers: dict) -> dict:
     """``entries`` with each value parsed by its key's parser. The first key
-    (in order) without a parser is an error, then the first value it rejects."""
+    (in order) without a parser is an error, then the first value it rejects,
+    a file it cannot read (``sigma_csv``) included."""
     for key in entries:
         if key not in parsers:
             raise ConfigError(f"unknown config key {key!r}")
@@ -107,7 +108,7 @@ def _parsed(entries: dict, parsers: dict) -> dict:
     for key, value in entries.items():
         try:
             out[key] = parsers[key](value)
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError, OSError) as exc:
             raise ConfigError(f"key {key!r}: cannot parse {value!r} ({exc})") from None
     return out
 

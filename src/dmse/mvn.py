@@ -6,36 +6,40 @@ gradients:
 - Cholesky factorization with a single-jitter retry for positive
   semidefinite matrices that are numerically rank-deficient; a problem
   keeps the precision matrix the sampler conditions with.
-- Rectangle (orthant) probabilities ``Pr(lower <= X <= upper)`` with a
-  controlled error estimate, computed by the sequential-conditioning
-  transform to the unit hypercube and randomized lattice integration.
-  There is one integration path, :func:`cdf_rectangles`, whose unit of
-  work is a batch of rows sharing one covariance: it orders the variables
-  of many rows in each pass, then integrates row by row and logs each row
-  that misses its tolerance. :func:`cdf_rectangle` is its one-row case.
-  Only the tolerance, up to :data:`MAX_SAMPLES`, decides how long an
-  integral runs: each pass after the first is sized from the error it
-  must close, and the budget caps a row's evaluations. At a finite
-  tolerance, rows of three or more variables that lie outside the bulk
-  are integrated under Botev's minimax tilt, found by one batched Newton
-  solve per slice of ordered rows; ``tol=math.inf`` is one untilted pass.
-  Lattice points are made in fixed-size chunks, and each chunk in column
-  blocks of every shift times a run of points, at most ``2 * _CHUNK``
-  columns, in buffers allocated once per pass and filled in place; so
-  memory is O(chunk * n) at any point count, and an infinite bound costs
-  no ``ndtr`` call. The conditioning sums of each run of 32 variables are
-  one GEMM over the earlier variables plus a gemv within the run. Up to
-  32 variables that is one gemv a variable, the sums of the chunk-wide
-  pass bit for bit, so every estimate with n <= 32 is what the chunk-wide
-  pass gave; past 32 the GEMM reorders sums, which moves estimates by a
-  few ulps.
-- Gibbs sampling of the normal restricted to an axis-aligned rectangle,
-  with numerically safe truncated univariate draws. A problem's mean and a
-  rectangle's bounds may carry a leading batch axis (one covariance, many
-  means), which the sampler advances together. Each coordinate update
-  works in place in buffers allocated once per call, and runs the
-  far-tail rejection step only when an entry needs it; the random stream
-  and the draws are those of the plainer form in ``tests/oracles.py``.
+- Orthant probabilities ``Pr(X in rect)`` with a controlled error
+  estimate. Every coordinate of a :class:`Rectangle` is a half-line,
+  ``(-inf, u]`` or ``[l, inf)``, as presence patterns make them; each
+  ``[l, inf)`` is mirrored below the mean, so every integrator layer
+  carries one upper bound per variable. Probabilities are computed by the
+  sequential-conditioning transform to the unit hypercube and randomized
+  lattice integration. There is one integration path,
+  :func:`cdf_rectangles`, whose unit of work is a batch of rows sharing
+  one covariance: it orders the variables of many rows in each pass, then
+  integrates row by row and logs each row that misses its tolerance.
+  :func:`cdf_rectangle` is its one-row case. Only the tolerance, up to
+  :data:`MAX_SAMPLES`, decides how long an integral runs: each pass after
+  the first is sized from the error it must close, and the budget caps a
+  row's evaluations. At a finite tolerance, rows of three or more
+  variables that lie outside the bulk are integrated under Botev's minimax
+  tilt, found by one batched Newton solve per slice of ordered rows;
+  ``tol=math.inf`` is one untilted pass. Lattice points are made in
+  fixed-size chunks, and each chunk in column blocks of every shift times
+  a run of points, at most ``2 * _CHUNK`` columns, in buffers allocated
+  once per pass and filled in place; so memory is O(chunk * n) at any
+  point count, and each variable costs one ``ndtr`` call. The conditioning
+  sums of each run of 32 variables are one GEMM over the earlier variables
+  plus a gemv within the run. Up to 32 variables that is one gemv a
+  variable, the sums of the chunk-wide pass bit for bit, so every estimate
+  with n <= 32 is what the chunk-wide pass gave; past 32 the GEMM reorders
+  sums, which moves estimates by a few ulps.
+- Gibbs sampling of the normal restricted to such a product of
+  half-lines, with numerically safe truncated univariate draws. A
+  problem's mean and a rectangle's bounds may carry a leading batch axis
+  (one covariance, many means), which the sampler advances together. Each
+  coordinate update works in place in buffers allocated once per call, and
+  runs the far-tail rejection step only when an entry needs it; the random
+  stream and the draws are those of the plainer form in
+  ``tests/oracles.py``.
 
 All operations are pure given their inputs plus an explicit seed; values
 are immutable, and the precision matrix is computed at construction time
@@ -120,10 +124,14 @@ def _checked_mean(mean, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Rectangle:
-    """Axis-aligned integration region ``[lower_j, upper_j]`` per coordinate.
+    """A product of half-lines: coordinate ``j`` is ``(-inf, upper_j]``
+    (``lower_j = -inf``) or ``[lower_j, inf)`` (``upper_j = inf``), with a
+    finite end. These are the regions presence patterns make.
 
-    Bounds are IEEE floats; infinite ends are encoded as ``-inf``/``+inf``.
     Bounds of shape ``(B, n)`` hold one rectangle per row of a batch.
+    Any other coordinate (two-sided, the whole line, a NaN bound, or an
+    empty ``lower = inf`` or ``upper = -inf``) raises ``ValueError`` naming
+    the first one.
     """
 
     lower: np.ndarray
@@ -134,11 +142,12 @@ class Rectangle:
         hi = np.asarray(self.upper, dtype=float)
         if lo.ndim not in (1, 2) or lo.shape != hi.shape:
             raise DimMismatch(f"bound shapes differ: {lo.shape} vs {hi.shape}")
-        if not np.all(lo < hi):
-            bad = np.unravel_index(np.argmin(hi - lo), lo.shape)
-            raise ValueError(
-                f"empty rectangle at coordinate {bad[-1]}: [{lo[bad]}, {hi[bad]}]"
-            )
+        half = ((lo == -np.inf) & np.isfinite(hi)) | (np.isfinite(lo) & (hi == np.inf))
+        if not np.all(half):
+            bad = tuple(np.argwhere(~half)[0])
+            row = f" of row {bad[0]}" if lo.ndim == 2 else ""
+            raise ValueError(f"coordinate {bad[-1]}{row} is [{lo[bad]}, {hi[bad]}], "
+                             "not a half-line (-inf, u] or [l, inf)")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -207,7 +216,8 @@ class CdfEstimate:
 
     ``error_estimate`` is three standard errors across the independent
     lattice randomizations, clipped so the uncertainty interval stays
-    inside [0, 1]. ``samples_used`` counts integrand evaluations, at most
+    inside [0, 1], and 0 for the closed form of one variable.
+    ``samples_used`` counts integrand evaluations, at most
     ``max(MAX_SAMPLES, 3084)``; ``tolerance_reached`` is False when the
     budget ran out first.
     """
@@ -378,26 +388,25 @@ def _cbc_lattice(dim: int, n_points: int) -> tuple[tuple[float, ...], int]:
     return tuple(z / n), n
 
 
-def _ordered_cholesky(cov, lower, upper, singular_tol=1e-10):
+def _ordered_cholesky(cov, upper, singular_tol=1e-10):
     """Scaled, reordered Cholesky factors for the conditioning transform.
 
-    Takes a batch: ``cov`` of shape ``(B, n, n)`` and bounds of shape
-    ``(B, n)``, ordered together one pivot at a time. Within each row,
-    variables are permuted greedily so that the most truncating bound
-    (smallest conditional probability mass, ties to the last candidate)
-    comes first, and rows are rescaled so every conditional standard
-    deviation is 1. Handles positive semidefinite covariances by zeroing
-    exhausted pivots.
+    Takes a batch: ``cov`` of shape ``(B, n, n)`` and finite upper bounds
+    of shape ``(B, n)`` of the region ``X <= upper``, ordered together one
+    pivot at a time. Within each row, variables are permuted greedily so
+    that the most truncating bound (smallest conditional probability mass,
+    ties to the last candidate) comes first, and rows are rescaled so every
+    conditional standard deviation is 1. Handles positive semidefinite
+    covariances by zeroing exhausted pivots.
 
-    Returns ``(cho, lo, hi)`` in the transformed coordinates, where ``cho``
-    is lower triangular. The permutation itself is not kept: the
-    probability of the rectangle does not depend on it.
+    Returns ``(cho, hi)`` in the transformed coordinates, where ``cho`` is
+    lower triangular. The permutation itself is not kept: the probability
+    of the region does not depend on it.
     """
     cho = np.array(cov, dtype=float)
     b, n = cho.shape[:2]
     dc = np.sqrt(np.maximum(np.diagonal(cho, axis1=1, axis2=2), 0.0))
     dc[dc == 0.0] = 1.0
-    lo = np.asarray(lower, dtype=float) / dc
     hi = np.asarray(upper, dtype=float) / dc
     cho /= dc[:, None, :]
     cho /= dc[:, :, None]
@@ -416,67 +425,44 @@ def _ordered_cholesky(cov, lower, upper, singular_tol=1e-10):
         live = diag > singular_tol
         ci = np.sqrt(np.where(live, diag, 1.0))
         s = (cho[:, k:, :k] * y[:, None, :k]).sum(axis=2)
-        lo_c = (lo[:, k:] - s) / ci
         hi_c = (hi[:, k:] - s) / ci
-        de = ndtr(hi_c) - ndtr(lo_c)
+        de = ndtr(hi_c)
         ok = live & (de <= 1.0)
         i = n - k - 1 - np.argmin(np.where(ok, de, np.inf)[:, ::-1], axis=1)
         found = ok[rows, i]
         i[~found] = 0
-        ck, dem, lo_m, hi_m, im = ci[rows, i], de[rows, i], lo_c[rows, i], hi_c[rows, i], k + i
+        ck, dem, hi_m, im = ci[rows, i], de[rows, i], hi_c[rows, i], k + i
         # Swap variables k and im of every row (a no-op where im == k).
         cho[rows, k], cho[rows, im] = cho[rows, im], cho[rows, k]
         cho[rows, :, k], cho[rows, :, im] = cho[rows, :, im], cho[rows, :, k]
-        for v in (lo, hi):
-            v[rows, k], v[rows, im] = v[rows, im], v[rows, k]
+        hi[rows, k], hi[rows, im] = hi[rows, im], hi[rows, k]
         cho[:, k, k] = ck
         cho[:, k + 1 :, k] /= ck[:, None]
         col = cho[:, k + 1 :, k]
         cho[:, k + 1 :, k + 1 :] -= col[:, :, None] * col[:, None, :]
-        big = np.abs(dem) > singular_tol
-        # Both branches are evaluated; a (-inf, inf) interval makes NaN in
-        # ``mid``, which it never takes.
-        with np.errstate(invalid="ignore"):
-            mass = (np.exp(-0.5 * lo_m * lo_m) - np.exp(-0.5 * hi_m * hi_m)) / (
-                _SQRT_TWO_PI * np.where(big, dem, 1.0))
-            mid = np.where(lo_m < -10, hi_m, np.where(hi_m > 10, lo_m, 0.5 * (lo_m + hi_m)))
-        y[:, k] = np.where(found, np.where(big, mass, mid), 0.0)
+        # The pivot's conditional mean given X <= h, or h itself where that
+        # mass is too small to divide by.
+        big = dem > singular_tol
+        mass = -np.exp(-0.5 * hi_m * hi_m) / (_SQRT_TWO_PI * np.where(big, dem, 1.0))
+        y[:, k] = np.where(found, np.where(big, mass, hi_m), 0.0)
         cho[:, k, : k + 1] /= ck[:, None]
-        lo[:, k] /= ck
         hi[:, k] /= ck
         # A row with no live pivot left: zero what is left of its factor, so
         # its remaining diagonal stays exhausted at every later step.
         cho[~found, k:, k:] = 0.0
-    return np.tril(cho), lo, hi
+    return np.tril(cho), hi
 
 
-def _log_mass(a, b):
-    """``log(ndtr(b) - ndtr(a))`` for ``a < b``, without cancellation.
-
-    Intervals above zero are mirrored below it; an interval in one lower
-    tail is ``log_ndtr(b) + log1p(-exp(log_ndtr(a) - log_ndtr(b)))``, and
-    one that straddles zero is ``log1p(-ndtr(a) - ndtr(-b))`` (Botev's
-    ``lnNpr``).
-    """
-    up = a > 0
-    a, b = np.where(up, -b, a), np.where(up, -a, b)
-    la, lb = log_ndtr(a), log_ndtr(b)
-    # Both branches are evaluated; the straddling one may take log1p(-1)
-    # on a tail interval, which it never returns.
-    with np.errstate(divide="ignore"):
-        return np.where(b < 0, lb + np.log1p(-np.exp(la - lb)), np.log1p(-ndtr(a) - ndtr(-b)))
-
-
-def _tilts(cho, lo, hi):
+def _tilts(cho, hi):
     """Botev's minimax tilt of every row of an ordering: the saddle point
     ``(x, mu)``, two ``(B, n-1)`` arrays, of which the pass uses ``mu``, and
     ``(B,)`` values ``psi(x, mu)``, each an upper bound on the log of its
     row's probability.
 
-    In the ordered coordinates (unit-diagonal ``cho``, scaled bounds) the
-    shifts ``mu`` solve the saddle point ``grad psi = 0`` of
-    ``psi(x, mu) = sum_k mu_k^2 / 2 - x_k mu_k + log(Phi(u_k) - Phi(l_k))``
-    with ``l_k = lo_k - mu_k - sum_{j<k} cho_kj x_j`` (``u_k`` alike) and
+    In the ordered coordinates (unit-diagonal ``cho``, scaled upper bounds)
+    the shifts ``mu`` solve the saddle point ``grad psi = 0`` of
+    ``psi(x, mu) = sum_k mu_k^2 / 2 - x_k mu_k + log Phi(u_k)``
+    with ``u_k = hi_k - mu_k - sum_{j<k} cho_kj x_j`` and
     ``mu_{n-1} = 0`` (Botev 2017, JRSS-B 79(1)). Newton's method
     starts from 0 with Botev's analytic Jacobian, whose lower-right block
     ``diag(1 + dP)`` is diagonal, so each step is one ``(n-1)``-square
@@ -487,7 +473,7 @@ def _tilts(cho, lo, hi):
     ``psi = 0``, no bound: any finite shift gives an unbiased pass, so that
     costs speed only.
     """
-    b, n = lo.shape
+    b, n = hi.shape
     m = n - 1
     x, mu, psi = np.zeros((b, m)), np.zeros((b, m)), np.zeros(b)
     solved = np.zeros(b, dtype=bool)
@@ -498,16 +484,15 @@ def _tilts(cho, lo, hi):
         for _ in range(30):
             lm = cho[todo, :, :m]
             xt, mt = x[todo], mu[todo]
-            # l_k - lo_k = x_k - mu_k - (cho x)_k, with x_{n-1} = mu_{n-1} = 0.
-            move = np.pad(xt - mt, ((0, 0), (0, 1))) - (lm @ xt[:, :, None])[:, :, 0]
-            a, b_ = lo[todo] + move, hi[todo] + move
-            w = _log_mass(a, b_)
-            pa = np.exp(-0.5 * a * a - w) / _SQRT_TWO_PI
-            pb = np.exp(-0.5 * b_ * b_ - w) / _SQRT_TWO_PI
-            p = pa - pb
+            # u_k - hi_k = x_k - mu_k - (cho x)_k, with x_{n-1} = mu_{n-1} = 0.
+            u = hi[todo] + (np.pad(xt - mt, ((0, 0), (0, 1))) - (lm @ xt[:, :, None])[:, :, 0])
+            # log Phi(u) without cancellation on either side of 0 (both
+            # branches are those of Botev's ``lnNpr`` at l = -inf).
+            w = np.where(u < 0, log_ndtr(u), np.log1p(-ndtr(-u)))
+            p = -np.exp(-0.5 * u * u - w) / _SQRT_TWO_PI
             # dP_k = d p_k / d mu_k; 1 + dP_k is the variance of the
             # truncated normal, in (0, 1].
-            dp = np.where(np.isinf(a), 0.0, a) * pa - np.where(np.isinf(b_), 0.0, b_) * pb - p * p
+            dp = np.where(np.isinf(u), 0.0, u) * p - p * p
             # d psi / d mu = mu - x + p', and d psi / dx + d psi / d mu
             # = cho'ᵀ p - x.
             g_mu = mt - xt + p[:, :m]
@@ -537,11 +522,13 @@ def _tilts(cho, lo, hi):
     return x, mu, psi
 
 
-def _lattice_means(cho, lo, hi, n_points, shifts, mu):
+def _lattice_means(cho, hi, n_points, shifts, mu):
     """Mean integrand value per randomization shift, and the evaluation count.
 
     ``shifts`` has shape ``(R, n-1)``; returns ``(R,)`` means of the
-    conditioned-probability integrand over the tent-transformed lattice.
+    conditioned-probability integrand over the tent-transformed lattice,
+    whose factor for variable ``i`` is ``ndtr(hi[i] - s_i)`` with ``s_i``
+    its conditioning sum.
     Each shift's sum is taken over :data:`_CHUNK` points at a time, and
     each chunk is made in blocks of every shift times at most
     ``_BLOCK // R`` points, in buffers allocated once per call. Within a
@@ -560,10 +547,10 @@ def _lattice_means(cho, lo, hi, n_points, shifts, mu):
     tilted = mu.any()
     if tilted:
         delta = cho[:, : n - 1] @ mu
-        lo, hi = lo - delta, hi - delta
+        hi = hi - delta
         half = -0.5 * float(mu @ mu)
     r = shifts.shape[0]
-    c0, d0 = ndtr(lo[0]), ndtr(hi[0])
+    d0 = ndtr(hi[0])
     chunk = min(_CHUNK, n_points)
     width = min(chunk, max(1, _BLOCK // r))
     cols = r * width
@@ -573,7 +560,7 @@ def _lattice_means(cho, lo, hi, n_points, shifts, mu):
     # would change sums that the chunk-wide gemv made.
     y = np.empty((n - 1) * cols)
     part = np.empty(min(_COND_BLOCK, n - _COND_BLOCK) * cols) if n > _COND_BLOCK else None
-    u, s, c_buf, d_buf, dc_buf, pv = (np.empty(cols) for _ in range(6))
+    u, s, dc, pv = (np.empty(cols) for _ in range(4))
     frac, past = np.empty(width), np.empty(cols, dtype=bool)
     chunk_pv = np.empty(r * chunk)
     sums = np.zeros(r)
@@ -585,11 +572,9 @@ def _lattice_means(cho, lo, hi, n_points, shifts, mu):
             k = np.arange(start + p0 + 1, start + p0 + b + 1, dtype=float)
             yb = y[: (n - 1) * w].reshape(n - 1, w)
             ub, sb, pvb, fb = u[:w], s[:w], pv[:w], frac[:b]
-            pvb.fill(d0 - c0)
-            # ``c`` and ``d - c`` of the last variable; the plain floats 0.0
-            # and 1.0 stand for an infinite bound and skip their operation,
-            # which would leave every value as it is.
-            c, dc = c0, d0 - c0
+            pvb.fill(d0)
+            # The last variable's factor, which scales this one's uniform.
+            dcb = d0
             for i in range(1, n):
                 # Tent (baker's) transform of coordinate i-1 of the shifted
                 # lattice; the sum lies in [0, 2), where subtracting 1 (as
@@ -602,10 +587,7 @@ def _lattice_means(cho, lo, hi, n_points, shifts, mu):
                 np.multiply(ub, 2.0, out=ub)
                 np.subtract(ub, 1.0, out=ub)
                 np.abs(ub, out=ub)
-                if not (isinstance(dc, float) and dc == 1.0):
-                    np.multiply(ub, dc, out=ub)
-                if not (isinstance(c, float) and c == 0.0):
-                    np.add(ub, c, out=ub)
+                np.multiply(ub, dcb, out=ub)
                 np.maximum(ub, 5e-324, out=ub)
                 np.minimum(ub, 1.0 - 1e-16, out=ub)
                 ndtri(ub, out=yb[i - 1])
@@ -622,25 +604,10 @@ def _lattice_means(cho, lo, hi, n_points, shifts, mu):
                     else:
                         np.matmul(cho[i, b0:i], yb[b0:i], out=sb)
                         np.add(sb, earlier[i - b0], out=sb)
-                if lo[i] == -np.inf:
-                    c = 0.0
-                else:
-                    c = c_buf[:w]
-                    np.subtract(lo[i], sb, out=c)
-                    ndtr(c, out=c)
-                if hi[i] == np.inf:
-                    d = 1.0
-                else:
-                    d = d_buf[:w]
-                    np.subtract(hi[i], sb, out=d)
-                    ndtr(d, out=d)
-                if isinstance(c, float):
-                    dc = d
-                else:
-                    dc = dc_buf[:w]
-                    np.subtract(d, c, out=dc)
-                if not isinstance(dc, float):
-                    np.multiply(pvb, dc, out=pvb)
+                dcb = dc[:w]
+                np.subtract(hi[i], sb, out=dcb)
+                ndtr(dcb, out=dcb)
+                np.multiply(pvb, dcb, out=pvb)
             if tilted:
                 # The ratio alone can overflow where the product underflows.
                 np.matmul(mu, yb, out=sb)
@@ -662,6 +629,10 @@ def cdf_rectangles(
 ) -> list[CdfEstimate]:
     """Estimate ``Pr(X in rect)`` for every row of a batch with one covariance.
 
+    Each ``[l, inf)`` coordinate is mirrored to ``(-inf, mean - l]``, so
+    every variable is integrated below its (centred) bound, where ``ndtr``
+    keeps full relative precision; one variable is the closed form
+    ``ndtr(hi / sd)``, reported with ``error_estimate`` 0.
     ``problem.mean`` and the bounds of ``rect`` broadcast to ``(B, n)``
     with ``B = len(seeds)``, so one rectangle may serve a batch of means
     and one mean a batch of rectangles; an empty batch gives ``[]``.
@@ -701,17 +672,15 @@ def cdf_rectangles(
     except ValueError:
         raise DimMismatch(f"{problem.mean.shape} and {rect.lower.shape} vs {shape}") from None
     n = problem.dim
-    # Negate every variable whose interval is [lo, inf) or lies wholly above
-    # the mean, so each half-line and each upper-tail interval lies below,
-    # where ndtr keeps full relative precision (1 - ndtr(lo) and
-    # ndtr(hi) - ndtr(lo) cancel to 0 in a far upper tail).
-    centred = np.stack([lower, upper]) - mean
-    sign = np.where((upper == np.inf) | (centred[0] > 0.0), -1.0, 1.0)
-    lo, hi = np.sort(sign * centred, axis=0)
+    # Negate every variable whose half-line is [lo, inf), so it lies below
+    # its bound (1 - ndtr(lo) cancels to 0 in a far upper tail). Rounding is
+    # sign-symmetric, so mean - lower is -(lower - mean) bit for bit.
+    up = upper == np.inf
+    sign = np.where(up, -1.0, 1.0)
+    hi = np.where(up, mean - lower, upper - mean)
     if n == 1:
         sd = math.sqrt(problem.cov[0, 0])
-        values = ndtr(hi[:, 0] / sd) - ndtr(lo[:, 0] / sd)
-        return [CdfEstimate(float(v), 1e-15, 0, True) for v in values]
+        return [CdfEstimate(float(v), 0.0, 0, True) for v in ndtr(hi[:, 0] / sd)]
 
     # Rows are ordered and tilted _CHUNK // n at a time, so the (rows, n, n)
     # arrays of the ordering and of the Newton solve hold about _CHUNK * n
@@ -722,7 +691,7 @@ def cdf_rectangles(
         if row % step == 0:
             part = slice(row, row + step)
             flip = sign[part, :, None] * sign[part, None, :]
-            cho, tlo, thi = _ordered_cholesky(problem.cov * flip, lo[part], hi[part])
+            cho, thi = _ordered_cholesky(problem.cov * flip, hi[part])
             if math.isfinite(tol) and n > 2:
                 # The likelihood ratio makes the integrand singular at the
                 # lattice's ends, which costs where the plain integrand is
@@ -730,10 +699,10 @@ def cdf_rectangles(
                 # one-dimensional rule (up to 8x more evaluations for
                 # bivariate rows at tol=5e-7), and in the bulk, for a row
                 # whose probability bound exp(psi) is 0.1 or more.
-                _, mu, psi = _tilts(cho, tlo, thi)
+                _, mu, psi = _tilts(cho, thi)
                 tilt = np.where(psi[:, None] < math.log(0.1), mu, 0.0)
             else:
-                tilt = np.zeros((len(tlo), n - 1))
+                tilt = np.zeros((len(thi), n - 1))
         rng = np.random.default_rng(seed)
         n_points = 256
         value, err = 0.0, math.inf
@@ -741,7 +710,7 @@ def cdf_rectangles(
         while True:
             shifts = rng.random((N_RANDOMIZATIONS, n - 1))
             r = row % step
-            means, n_eval = _lattice_means(cho[r], tlo[r], thi[r], n_points, shifts, tilt[r])
+            means, n_eval = _lattice_means(cho[r], thi[r], n_points, shifts, tilt[r])
             used += n_eval
             vi = float(means.mean())
             ei = 3.0 * float(means.std(ddof=1)) / math.sqrt(N_RANDOMIZATIONS)
@@ -797,22 +766,23 @@ def cdf_rectangle(
 
 
 def _trunc_std_normal(rng: np.random.Generator, u, ab, flip, lh, p) -> np.ndarray:
-    """One draw per entry of a standard normal conditioned on ``[a, b]``.
+    """One draw per entry of a standard normal conditioned on the half-line
+    ``[a, b]``, where ``a = -inf`` or ``b = inf``.
 
     ``ab`` is a ``(2, m)`` array holding ``a`` over ``b``; ``flip`` (bool,
     ``(m,)``), ``lh`` and ``p`` (``(2, m)``) are buffers this overwrites,
-    and the draws are returned as a view of ``p``. Intervals above zero are
-    mirrored below it, where ``ndtr`` keeps full relative precision. The
+    and the draws are returned as a view of ``p``. Half-lines above zero
+    are mirrored below it, where ``ndtr`` keeps full relative precision. The
     inverse CDF of ``u`` (one uniform per entry) gives the bulk draws;
-    intervals beyond ``_FAR_TAIL`` standard deviations, where the inverse
-    CDF loses precision, use translated-exponential rejection (Robert's
-    method) with draws from ``rng``, repeated for the entries still
-    pending.
+    half-lines ``(-inf, b]`` beyond ``_FAR_TAIL`` standard deviations, where
+    the inverse CDF loses precision, use translated-exponential rejection
+    (Robert's method) on ``[-b, inf)`` with draws from ``rng``, repeated for
+    the entries still pending.
     """
     np.greater(ab[0], 0.0, out=flip)
     np.copyto(lh, ab)
     np.negative(ab[::-1], out=lh, where=flip)
-    lo, hi = lh
+    hi = lh[1]
     ndtr(lh, out=p)
     p_lo, z = p
     np.subtract(z, p_lo, out=z)
@@ -823,14 +793,13 @@ def _trunc_std_normal(rng: np.random.Generator, u, ab, flip, lh, p) -> np.ndarra
     # the minimum shows whether any entry needs the rejection sampler.
     if hi.min() <= -_FAR_TAIL:
         tail = np.flatnonzero(hi <= -_FAR_TAIL)
-        # Rejection on the upper-tail interval [ta, tb], negated back below zero.
-        ta, tb = -hi[tail], -lo[tail]
+        # Rejection on the upper tail [ta, inf), negated back below zero.
+        ta = -hi[tail]
         lam = 0.5 * (ta + np.sqrt(ta * ta + 4.0))
-        cap = -np.expm1(-lam * (tb - ta))
         pending = np.arange(tail.size)
         while pending.size:
             v = rng.random((2, pending.size))
-            cand = ta[pending] - np.log1p(-v[0] * cap[pending]) / lam[pending]
+            cand = ta[pending] - np.log1p(-v[0]) / lam[pending]
             ok = np.log(v[1] + 1e-300) <= -0.5 * (cand - lam[pending]) ** 2
             z[tail[pending[ok]]] = -cand[ok]
             pending = pending[~ok]
@@ -846,16 +815,15 @@ def sample_truncated(
     A systematic-scan Gibbs sampler: coordinate ``j`` is redrawn from its
     univariate normal conditional (precision parameterization, with the
     precision matrix computed once from the Cholesky factor), truncated to
-    ``[rect.lower[j], rect.upper[j]]``. Each observation of a batch runs
+    the half-line ``[rect.lower[j], rect.upper[j]]``. Each observation of a batch runs
     ``cfg.chains`` chains from its rectangle-projected mean; all chains of
     all observations advance as one array, looping only over coordinates.
     Returns ``batch + (chains * per_chain, n)`` draws, chain-major, with
     ``per_chain = ceil(n_samples / chains)``; deterministic given ``seed``.
 
-    The rectangle is sampled as given. Infinite ends, such as those of
-    :meth:`Rectangle.from_presence`, are drawn exactly: a conditional
-    interval more than ``_FAR_TAIL`` standard deviations out goes to the
-    rejection sampler, which accepts an unbounded far end.
+    The rectangle is sampled as given, infinite ends exactly: a
+    conditional half-line more than ``_FAR_TAIL`` standard deviations out
+    goes to the rejection sampler.
     """
     batch = _batch_shape(problem, rect)
     n = problem.dim

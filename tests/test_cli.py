@@ -482,6 +482,24 @@ class TestPredictCommand:
                      "--out", str(tmp_path / "p.csv"), "--joint-patterns", "1"])
         assert code == 2
 
+    def test_joint_patterns_past_ten_species_is_2(self, tmp_path, capsys):
+        n = 11
+        params = ModelParams(
+            species_names=[f"s{j}" for j in range(n)], feature_names=["x"],
+            S=np.zeros((2, n)), Lambda_raw=np.eye(n), W=np.zeros((2, 1)), mlp=None,
+            standardization=FeatureStandardization.identity(1),
+        )
+        save_checkpoint(params, tmp_path / "m.dmse")
+        feats = tmp_path / "f.csv"
+        feats.write_text("env:x\n0.0\n", encoding="utf-8")
+        out = tmp_path / "p.csv"
+        code = main(["predict", "--features-csv", str(feats), "--model", str(tmp_path / "m.dmse"),
+                     "--out", str(out), "--joint-patterns", "1" * n])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError:") and "at most 10 species" in err
+        assert not out.exists()
+
 
 class TestExportCommand:
     def test_equal_columns_top_pair_is_one(self, tmp_path):
@@ -564,6 +582,22 @@ class TestCvCommand:
         assert main(["cv", "--data", data, "--config", cfg, "--k", "1",
                      "--out-dir", str(ws / "cv2")]) == 2
 
+    def test_every_fold_failing_is_4(self, tmp_path, capsys):
+        """Two rows in two folds leave one training row a fold, which
+        cannot be standardized: each fold reports its failure, and the run
+        exits 4 without an aggregate."""
+        data = write(tmp_path, "d.csv", "sp:a,env:x\n1,0.0\n0,1.0\n")
+        cfg = write(tmp_path, "t.cfg", FAST_TRAIN)
+        out = tmp_path / "cv"
+        code = main(["cv", "--data", data, "--config", cfg, "--k", "2",
+                     "--set", "minibatch_size=1", "--out-dir", str(out)])
+        assert code == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[:2] for line in lines[:2]] == [
+            ["fold 0 failed", " DimMismatch"], ["fold 1 failed", " DimMismatch"]]
+        assert lines[2:] == ["error: all folds failed"]
+        assert not (out / "aggregate.txt").exists()
+
 
 class TestSynthCommand:
     def test_writes_dataset_and_truth_sidecar(self, tmp_path):
@@ -606,11 +640,16 @@ class TestSynthCommand:
         ("rho", "abc"), ("rho", "2"), ("rho", "-0.6"), ("rho", "inf"), ("rho", "nan"),
         ("mu_scale", "nan"), ("mu_scale", "-1"), ("mu_scale", "0"),
         ("n_species", "0"), ("m_features", "0"), ("n_obs", "-5"), ("sigma_csv", None),
+        ("sigma_csv", "missing"), ("sigma_csv", "directory"),
     ])
     def test_invalid_value_is_config_error(self, tmp_path, capsys, key, value):
         entries = {"n_species": "3", "m_features": "2", "n_obs": "10", "rho": "0.2"}
         if value is None:  # a correlation file with a non-numeric cell
             value = write(tmp_path, "sigma.csv", "species,a,b,c\na,1,0,0\nb,0,1,x\nc,0,0,1\n")
+        elif value == "missing":  # a correlation file that does not exist
+            value = str(tmp_path / "no-such-sigma.csv")
+        elif value == "directory":
+            value = str(tmp_path)
         entries[key] = value
         spec = write(tmp_path, "s.cfg", "".join(f"{k} = {v}\n" for k, v in entries.items()))
         code = main(["synth", "--spec-config", spec, "--out", str(tmp_path / "x.csv")])

@@ -7,7 +7,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
 
 from dmse import mvn
 from dmse.errors import DimMismatch, NotPositiveDefinite
@@ -70,6 +69,34 @@ class TestCholesky:
             cholesky(np.zeros((2, 3)))
 
 
+class TestRectangle:
+    """Every coordinate of a rectangle is a half-line with a finite end,
+    checked once at construction."""
+
+    @pytest.mark.parametrize("lower, upper", [
+        (0.0, 1.0), (-np.inf, np.inf), (np.nan, np.inf), (-np.inf, np.nan),
+        (np.inf, np.inf), (-np.inf, -np.inf), (1.0, 0.0),
+    ], ids=["two-sided", "whole-line", "nan-lower", "nan-upper", "lower-inf", "upper-minus-inf",
+            "reversed"])
+    def test_rejects_what_is_not_a_half_line(self, lower, upper):
+        with pytest.raises(ValueError, match=r"coordinate 1 is \[.*\], not a half-line"):
+            Rectangle([0.0, lower], [np.inf, upper])
+
+    def test_accepts_both_sides(self):
+        rect = Rectangle([-np.inf, -2.5], [1.5, np.inf])
+        np.testing.assert_array_equal(rect.lower, [-np.inf, -2.5])
+        np.testing.assert_array_equal(rect.upper, [1.5, np.inf])
+        presence = Rectangle.from_presence([[1, 0], [0, 1]])
+        assert Rectangle(presence.lower, presence.upper).dim == 2
+
+    def test_batch_names_the_bad_row(self):
+        lower = np.array([[0.0, -np.inf], [-np.inf, -np.inf], [0.0, -1.0]])
+        upper = np.array([[np.inf, 0.0], [0.0, 0.0], [np.inf, 1.0]])
+        Rectangle(lower[:2], upper[:2])
+        with pytest.raises(ValueError, match="coordinate 1 of row 2 is"):
+            Rectangle(lower, upper)
+
+
 class TestCdfRectangle:
     def test_univariate_halfline(self):
         p = MvnProblem([0.0], [[1.0]])
@@ -104,46 +131,13 @@ class TestCdfRectangle:
             est = cdf_rectangle(p, Rectangle.from_presence([1, 1]), tol=1e-6, seed=7)
             assert abs(est.value - bvn_orthant(rho)) <= 1e-6
 
-    def test_full_space_is_one_up_to_n10(self):
-        rng = np.random.default_rng(5)
-        for n in range(1, 11):
-            cov = random_correlation(rng, n)
-            p = MvnProblem(rng.normal(size=n), cov)
-            rect = Rectangle([-np.inf] * n, [np.inf] * n)
-            est = cdf_rectangle(p, rect, tol=1e-6, seed=n)
-            np.testing.assert_allclose(est.value, 1.0, atol=1e-6)
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_complement_pieces_sum_to_one(self, n):
-        rng = np.random.default_rng(10 + n)
-        cov = random_correlation(rng, n)
-        mean = 0.3 * rng.normal(size=n)
-        p = MvnProblem(mean, cov)
-        lo = mean - rng.uniform(0.5, 1.5, n)
-        hi = mean + rng.uniform(0.5, 1.5, n)
-        # Slab decomposition: complement = union over j of the two slabs
-        # where coordinate j lies outside [lo_j, hi_j], coordinates < j lie
-        # inside, and coordinates > j are free.
-        pieces = [Rectangle(lo, hi)]
-        for j in range(n):
-            below_lo = np.concatenate([lo[:j], [-np.inf], [-np.inf] * (n - j - 1)])
-            below_hi = np.concatenate([hi[:j], [lo[j]], [np.inf] * (n - j - 1)])
-            above_lo = np.concatenate([lo[:j], [hi[j]], [-np.inf] * (n - j - 1)])
-            above_hi = np.concatenate([hi[:j], [np.inf], [np.inf] * (n - j - 1)])
-            pieces.append(Rectangle(below_lo, below_hi))
-            pieces.append(Rectangle(above_lo, above_hi))
-        total = sum(
-            cdf_rectangle(p, piece, tol=1e-6, seed=k).value
-            for k, piece in enumerate(pieces)
-        )
-        assert abs(total - 1.0) <= 2e-6
-
     def test_monotone_under_enlargement(self):
+        """Moving half-line bounds outward never loses mass."""
         rng = np.random.default_rng(21)
         cov = random_correlation(rng, 3)
         p = MvnProblem(rng.normal(size=3) * 0.3, cov)
-        small = Rectangle([-0.5, -0.3, -0.8], [0.4, 0.9, 0.2])
-        large = Rectangle([-1.0, -0.3, -1.5], [0.8, 1.5, 0.2])
+        small = Rectangle([-0.5, -np.inf, -0.8], [np.inf, 0.9, np.inf])
+        large = Rectangle([-1.0, -np.inf, -1.5], [np.inf, 1.5, np.inf])
         e_small = cdf_rectangle(p, small, tol=1e-6, seed=1)
         e_large = cdf_rectangle(p, large, tol=1e-6, seed=2)
         assert e_large.value >= e_small.value - (e_small.error_estimate + e_large.error_estimate)
@@ -157,6 +151,17 @@ class TestCdfRectangle:
             assert est.value - est.error_estimate >= -1e-12
             assert est.value + est.error_estimate <= 1.0 + 1e-12
             assert est.samples_used >= 0
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-6])
+    @pytest.mark.parametrize("mu0", [0.0, -9.0, -15.0, -30.0])
+    def test_univariate_meets_the_tolerance_it_reports(self, mu0, tol):
+        """One variable is the closed form ``ndtr``: its error is 0, so a
+        reported success holds at any tolerance, deep in the tail too."""
+        p = MvnProblem([[mu0], [mu0]], [[1.0]])
+        for est in cdf_rectangles(p, Rectangle.from_presence([[1], [0]]), [0, 1], tol):
+            assert est.tolerance_reached
+            assert est.error_estimate <= tol * max(est.value, 1e-300)
+            assert est.value - est.error_estimate >= 0.0
 
     def test_budget_exhaustion_sets_flag(self, monkeypatch):
         """A row stops once what is left of the budget cannot pay for a
@@ -208,8 +213,8 @@ def _record_passes(monkeypatch):
     passes = []
     real = mvn._lattice_means
 
-    def recording(cho, lo, hi, n_points, shifts, mu):
-        means, n_eval = real(cho, lo, hi, n_points, shifts, mu)
+    def recording(cho, hi, n_points, shifts, mu):
+        means, n_eval = real(cho, hi, n_points, shifts, mu)
         passes.append((n_points, n_eval))
         return means, n_eval
 
@@ -255,18 +260,6 @@ class TestFarTails:
         assert est.tolerance_reached
         assert abs(est.value - exact) <= 1e-6 * exact
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("box", [(9.0, 10.0), (8.0, 9.0), (-10.0, -9.0), (-9.0, -8.0)])
-    def test_finite_interval_above_the_mean_keeps_its_mass(self, box, n):
-        """``ndtr(10) - ndtr(9)`` cancels to 0 (and ``ndtr(9) - ndtr(8)``
-        to 7% off) unless the interval is mirrored below the mean first."""
-        a, b = sorted(abs(v) for v in box)
-        exact = float(ndtr(-a) - ndtr(-b)) ** n
-        rect = Rectangle(np.full(n, box[0]), np.full(n, box[1]))
-        est = cdf_rectangle(MvnProblem(np.zeros(n), np.eye(n)), rect, tol=1e-6)
-        assert est.tolerance_reached
-        assert abs(est.value - exact) <= 1e-6 * exact
-
     @pytest.mark.parametrize("n", [3, 5])
     def test_far_presence_reports_a_miss_not_a_wrong_value(self, n, monkeypatch):
         monkeypatch.setattr(mvn, "MAX_SAMPLES", 100_000)
@@ -290,32 +283,40 @@ def _covariance(kind, n, rng):
 
 
 def _bounds(n, rng, cov):
-    """Bounds around a latent draw: an all-present orthant at mean 0 (exact
-    ties), a presence pattern, both ends finite, and mixed ends."""
+    """Half-line bounds, centred on the mean, around a latent draw: an
+    all-present orthant at mean 0 (exact ties), a presence pattern, and
+    half-lines on mixed sides at random thresholds, so the bounds are not
+    all minus the mean."""
     mean = rng.normal(size=n)
     x = mean + np.linalg.cholesky(cov + 1e-9 * np.eye(n)) @ rng.normal(size=n)
     bits = x > 0
-    lo_f = x - rng.uniform(0.5, 2.0, n)
-    hi_f = x + rng.uniform(0.5, 2.0, n)
-    one_sided = rng.random(n) < 0.5
+    up = rng.random(n) < 0.5
+    t = np.where(up, x - rng.uniform(0.5, 2.0, n), x + rng.uniform(0.5, 2.0, n))
     return {
         "ties": (np.zeros(n), np.full(n, np.inf)),
         "presence": (np.where(bits, 0.0, -np.inf) - mean, np.where(bits, np.inf, 0.0) - mean),
-        "finite": (lo_f - mean, hi_f - mean),
-        "mixed": (np.where(one_sided & ~bits, -np.inf, lo_f) - mean,
-                  np.where(one_sided & bits, np.inf, hi_f) - mean),
+        "mixed": (np.where(up, t, -np.inf) - mean, np.where(up, np.inf, t) - mean),
     }
+
+
+def _presented(cov, lo, hi):
+    """Centred half-line bounds as cdf_rectangles hands them to the
+    ordering: each ``[l, inf)`` mirrored to ``(-inf, -l]``, with the
+    covariance of the mirrored variables. Returns ``(cov, hi)``."""
+    sign = np.where(hi == np.inf, -1.0, 1.0)
+    return cov * np.outer(sign, sign), np.where(hi == np.inf, -lo, hi)
 
 
 _KINDS = ["equicorrelated", "negative", "random_spd", "rank_deficient"]
 
 
-def _assert_row_matches_loop(got, row, cov, lo, hi, msg):
-    """Row ``row`` of a batched ordering equals the reference loop bit for
-    bit: lower triangle and bounds, with the upper triangle 0."""
-    cho, lo_, hi_ = ordered_cholesky_loop(cov, lo, hi)
-    want = (np.tril(cho), lo_, hi_)
-    for part, a, b in zip(("cho", "lo", "hi"), got, want, strict=True):
+def _assert_row_matches_loop(got, row, cov, hi, msg):
+    """Row ``row`` of a batched ordering equals the general reference loop,
+    given lower bounds of -inf, bit for bit: lower triangle and bounds, with
+    the upper triangle 0."""
+    cho, lo_, hi_ = ordered_cholesky_loop(cov, np.full_like(hi, -np.inf), hi)
+    assert np.all(lo_ == -np.inf), msg
+    for part, a, b in zip(("cho", "hi"), got, (np.tril(cho), hi_), strict=True):
         np.testing.assert_array_equal(a[row], b, err_msg=f"{msg}: {part}")
 
 
@@ -327,9 +328,10 @@ class TestOrderedCholesky:
     def test_matches_loop(self, kind, n):
         rng = np.random.default_rng(n)
         cov = _covariance(kind, n, rng)
-        for name, (lo, hi) in _bounds(n, rng, cov).items():
-            got = _ordered_cholesky(cov[None], lo[None], hi[None])
-            _assert_row_matches_loop(got, 0, cov, lo, hi, name)
+        for name, bounds in _bounds(n, rng, cov).items():
+            cov_p, hi = _presented(cov, *bounds)
+            got = _ordered_cholesky(cov_p[None], hi[None])
+            _assert_row_matches_loop(got, 0, cov_p, hi, name)
             if kind == "rank_deficient":
                 # Only d2 pivots survive; the rest are zeroed as exhausted.
                 assert np.count_nonzero(np.diag(got[0][0])) == max(1, n // 4)
@@ -344,19 +346,17 @@ class TestOrderedCholesky:
         for kind in _KINDS:
             cov = _covariance(kind, n, rng)
             for name, bounds in _bounds(n, rng, cov).items():
-                sign = rng.choice([-1.0, 1.0], n)
-                lo, hi = np.sort(sign * np.array(bounds), axis=0)
-                rows.append((f"{kind}/{name}", cov * np.outer(sign, sign), lo, hi))
-        got = _ordered_cholesky(*(np.array([r[i] for r in rows]) for i in (1, 2, 3)))
-        for row, (msg, cov, lo, hi) in enumerate(rows):
-            _assert_row_matches_loop(got, row, cov, lo, hi, msg)
+                rows.append((f"{kind}/{name}", *_presented(cov, *bounds)))
+        got = _ordered_cholesky(*(np.array([r[i] for r in rows]) for i in (1, 2)))
+        for row, (msg, cov, hi) in enumerate(rows):
+            _assert_row_matches_loop(got, row, cov, hi, msg)
         live = np.count_nonzero(np.diagonal(got[0], axis1=1, axis2=2), axis=1)
         assert live.min() == max(1, n // 4) < live.max() == n
 
     def test_memory_is_bounded_at_any_batch_size(self, monkeypatch):
         """cdf_rectangles orders 1,000 rows at n=50 a slice at a time: one
         ordering call over the whole batch peaked near 80 MiB."""
-        monkeypatch.setattr(mvn, "_lattice_means", lambda cho, lo, hi, n_points, shifts, mu: (
+        monkeypatch.setattr(mvn, "_lattice_means", lambda cho, hi, n_points, shifts, mu: (
             shifts[:, 0], n_points))
         rng = np.random.default_rng(41)
         p = MvnProblem(rng.normal(size=(1000, 50)), random_correlation(rng, 50))
@@ -394,21 +394,22 @@ class TestLatticeMeans:
     """The chunked lattice pass against the reference all-points pass."""
 
     @pytest.mark.parametrize("n", [2, 5, 20, 33, 100])
-    @pytest.mark.parametrize("name", ["presence", "finite", "mixed"])
+    @pytest.mark.parametrize("name", ["presence", "mixed"])
     def test_matches_dense_pass(self, name, n):
         """Up to 32 variables the blocked pass makes the reference's
         conditioning sums, one gemv a variable; past that, each block of 32
         sums one GEMM over the earlier variables and one gemv, which moves
-        the result by a few ulps."""
+        the result by a few ulps. The reference takes lower bounds of -inf
+        through ``ndtr`` as well."""
         rng = np.random.default_rng(50 + n)
         cov = random_correlation(rng, n)
-        lo, hi = _bounds(n, rng, cov)[name]
-        (cho,), (lo,), (hi,) = _ordered_cholesky(cov[None], lo[None], hi[None])
+        cov, hi = _presented(cov, *_bounds(n, rng, cov)[name])
+        (cho,), (hi,) = _ordered_cholesky(cov[None], hi[None])
         for n_points in _dense_sizes(n):
             shifts = rng.random((N_RANDOMIZATIONS, n - 1))
             gen, size = _cbc_lattice(n - 1, n_points)
-            got, evals = _lattice_means(cho, lo, hi, n_points, shifts, np.zeros(n - 1))
-            want = lattice_means_dense(cho, lo, hi, gen, size, shifts)
+            got, evals = _lattice_means(cho, hi, n_points, shifts, np.zeros(n - 1))
+            want = lattice_means_dense(cho, np.full(n, -np.inf), hi, gen, size, shifts)
             assert evals == N_RANDOMIZATIONS * size
             if n > mvn._COND_BLOCK:
                 np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
@@ -418,21 +419,21 @@ class TestLatticeMeans:
                 np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("n", [2, 5, 20, 33, 100])
-    @pytest.mark.parametrize("name", ["presence", "finite", "mixed"])
+    @pytest.mark.parametrize("name", ["presence", "mixed"])
     def test_tilted_matches_dense_pass(self, name, n):
         """A tilted pass against the reference, which moves the bounds and
         sums the log likelihood ratio coordinate by coordinate."""
         rng = np.random.default_rng(60 + n)
         cov = random_correlation(rng, n)
-        lo, hi = _bounds(n, rng, cov)[name]
-        cho, lo, hi = _ordered_cholesky(cov[None], lo[None], hi[None])
-        mu = _tilts(cho, lo, hi)[1][0]
+        cov, hi = _presented(cov, *_bounds(n, rng, cov)[name])
+        cho, hi = _ordered_cholesky(cov[None], hi[None])
+        mu = _tilts(cho, hi)[1][0]
         assert mu.any()
         for n_points in (256, _dense_sizes(n)[-1]):
             shifts = rng.random((N_RANDOMIZATIONS, n - 1))
             gen, size = _cbc_lattice(n - 1, n_points)
-            got, evals = _lattice_means(cho[0], lo[0], hi[0], n_points, shifts, mu)
-            want = lattice_means_dense(cho[0], lo[0], hi[0], gen, size, shifts, mu)
+            got, evals = _lattice_means(cho[0], hi[0], n_points, shifts, mu)
+            want = lattice_means_dense(cho[0], np.full(n, -np.inf), hi[0], gen, size, shifts, mu)
             assert evals == N_RANDOMIZATIONS * size
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
@@ -443,12 +444,12 @@ class TestLatticeMeans:
         n = 100
         rng = np.random.default_rng(12)
         cov = random_correlation(rng, n)
-        lo, hi = _bounds(n, rng, cov)["presence"]
-        (cho,), (lo,), (hi,) = _ordered_cholesky(cov[None], lo[None], hi[None])
+        cov, hi = _presented(cov, *_bounds(n, rng, cov)["presence"])
+        (cho,), (hi,) = _ordered_cholesky(cov[None], hi[None])
         shifts = rng.random((N_RANDOMIZATIONS, n - 1))
         tracemalloc.start()
         try:
-            _lattice_means(cho, lo, hi, 5 * _CHUNK, shifts, np.zeros(n - 1))
+            _lattice_means(cho, hi, 5 * _CHUNK, shifts, np.zeros(n - 1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -494,11 +495,8 @@ class TestTilting:
         """psi at the saddle point is Botev's upper bound on log P, and a
         tight one: within 0.1 of the exact value far out in the tail."""
         p, rect, exact = _equicorrelated(-9.0, [1] + [0] * (n - 1))
-        # The rectangle as cdf_rectangles presents it: half-lines below zero.
-        sign = np.where(rect.upper == np.inf, -1.0, 1.0)
-        lo, hi = np.sort(sign * (np.stack([rect.lower, rect.upper]) - p.mean), axis=0)
-        ordered = _ordered_cholesky((p.cov * np.outer(sign, sign))[None], lo[None], hi[None])
-        psi = _tilts(*ordered)[2][0]
+        cov, hi = _presented(p.cov, rect.lower - p.mean, rect.upper - p.mean)
+        psi = _tilts(*_ordered_cholesky(cov[None], hi[None]))[2][0]
         assert math.log(exact) <= psi <= math.log(exact) + 0.1
 
     @pytest.mark.parametrize("mean, bits, cov, tol, plain", [
@@ -528,13 +526,14 @@ class TestTilting:
         against a 50-digit gradient; a row with an exhausted pivot keeps 0."""
         rng = np.random.default_rng(n)
         cov = _covariance(kind, n, rng)
-        for name, (lo, hi) in _bounds(n, rng, cov).items():
-            cho, lo, hi = _ordered_cholesky(cov[None], lo[None], hi[None])
-            x, mu, psi = _tilts(cho, lo, hi)
+        for name, bounds in _bounds(n, rng, cov).items():
+            cov_p, hi = _presented(cov, *bounds)
+            cho, hi = _ordered_cholesky(cov_p[None], hi[None])
+            x, mu, psi = _tilts(cho, hi)
             if kind == "rank_deficient":
                 assert not x.any() and not mu.any() and psi[0] == 0.0, name
                 continue
-            g_x, g_mu = botev_gradient(cho[0], lo[0], hi[0], x[0], mu[0])
+            g_x, g_mu = botev_gradient(cho[0], np.full(n, -np.inf), hi[0], x[0], mu[0])
             assert np.abs(np.concatenate([g_x, g_mu])).max() <= 1e-8, name
 
     def test_infinite_tolerance_never_solves(self, monkeypatch):
@@ -555,7 +554,7 @@ class TestTilting:
         """The Newton solve of 1,000 tilted rows at n=50 runs a slice at a
         time, in the ordering's memory."""
         tilts = []
-        monkeypatch.setattr(mvn, "_lattice_means", lambda cho, lo, hi, n_points, shifts, mu: (
+        monkeypatch.setattr(mvn, "_lattice_means", lambda cho, hi, n_points, shifts, mu: (
             tilts.append(mu.any()) or np.full(len(shifts), 0.5), n_points))
         rng = np.random.default_rng(41)
         p = MvnProblem(rng.normal(size=(1000, 50)), random_correlation(rng, 50))
@@ -766,12 +765,13 @@ class TestSampleTruncated:
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("n", [2, 5, 20, 100])
-    @pytest.mark.parametrize("kind", ["presence", "finite"])
+    @pytest.mark.parametrize("kind", ["presence", "far"])
     def test_matches_reference_stream(self, kind, n, monkeypatch):
         """The in-place sweep draws what the reference sampler draws, bit
         for bit: on rows in the bulk, whose updates skip the rejection step,
         and with a row whose conditionals lie past ``_FAR_TAIL``, which take
-        the rejection sampler's extra uniforms."""
+        the rejection sampler's extra uniforms (the reference takes them on
+        its general ``[ta, tb]`` interval with ``tb = inf``)."""
         rng = np.random.default_rng(90 + n)
         cov = random_correlation(rng, n)
         mean = rng.normal(size=(3, n))
@@ -782,10 +782,12 @@ class TestSampleTruncated:
             presence = Rectangle.from_presence(bits)
             lower, upper = presence.lower, presence.upper
         else:
-            lower = mean + rng.normal(size=(3, n)) - 1.0
-            upper = lower + rng.uniform(0.5, 2.0, size=(3, n))
-            # Row 2: species 0 confined to [8, 9] sd above its mean.
-            lower[2, 0], upper[2, 0] = mean[2, 0] + 8.0, mean[2, 0] + 9.0
+            # Half-lines on random sides at thresholds around the mean.
+            up = rng.random((3, n)) < 0.5
+            t = mean + rng.normal(size=(3, n))
+            lower, upper = np.where(up, t, -np.inf), np.where(up, np.inf, t)
+            # Row 2: species 0 confined to [8 sd above its mean, inf).
+            lower[2, 0], upper[2, 0] = mean[2, 0] + 8.0, np.inf
         cfg = SamplerConfig(n_samples=64, burn_in_sweeps=3, thinning=2)
         real = mvn._trunc_std_normal
         tails = []
@@ -803,16 +805,16 @@ class TestSampleTruncated:
             np.testing.assert_array_equal(got, sample_truncated_reference(p, rect, cfg, 21))
 
     def test_far_tail_interval(self):
-        # Intervals entirely beyond 4 sd exercise the rejection path; the
-        # unbounded one takes its whole exponential proposal (cap = 1).
+        # Half-lines entirely beyond 4 sd, on either side of the mean,
+        # exercise the rejection path.
         from scipy.stats import truncnorm
 
         p = MvnProblem([0.0], [[1.0]])
         cfg = SamplerConfig(n_samples=20_000, burn_in_sweeps=10, thinning=1)
-        for hi in (7.0, np.inf):
-            draws = sample_truncated(p, Rectangle([5.0], [hi]), cfg, 5)
-            assert np.all((draws > 5.0) & (draws < hi))
-            exact = truncnorm(5.0, hi).mean()
+        for lo, hi in ((5.0, np.inf), (-np.inf, -5.0)):
+            draws = sample_truncated(p, Rectangle([lo], [hi]), cfg, 5)
+            assert np.all((draws > lo) & (draws < hi))
+            exact = truncnorm(lo, hi).mean()
             assert abs(draws.mean() - exact) <= 4 * batch_se(draws[:, 0]) + 1e-3
 
 
