@@ -113,7 +113,8 @@ def _read_checklist(path, with_presence):
     with it they are required. Row numbers in diagnostics are 1-based,
     counting the header as row 1.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    # "utf-8-sig" drops the byte-order mark spreadsheet programs write.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -33,13 +33,13 @@ gradients:
   with n <= 32 is what the chunk-wide pass gave; past 32 the GEMM reorders
   sums, which moves estimates by a few ulps.
 - Gibbs sampling of the normal restricted to such a product of
-  half-lines, with numerically safe truncated univariate draws. A
-  problem's mean and a rectangle's bounds may carry a leading batch axis
-  (one covariance, many means), which the sampler advances together. Each
-  coordinate update works in place in buffers allocated once per call, and
-  runs the far-tail rejection step only when an entry needs it; the random
-  stream and the draws are those of the plainer form in
-  ``tests/oracles.py``.
+  half-lines, mirrored as the integrator mirrors it, so every conditional
+  is drawn below one bound. A problem's mean and a rectangle's bounds may
+  carry a leading batch axis (one covariance, many means), which the
+  sampler advances together. Each coordinate update works in place in
+  buffers allocated once per call, and runs the far-tail rejection step
+  only when an entry needs it; the random stream and the draws are those
+  of the plainer form in ``tests/oracles.py``.
 
 All operations are pure given their inputs plus an explicit seed; values
 are immutable, and the precision matrix is computed at construction time
@@ -140,8 +140,10 @@ class Rectangle:
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
         hi = np.asarray(self.upper, dtype=float)
-        if lo.ndim not in (1, 2) or lo.shape != hi.shape:
+        if lo.shape != hi.shape:
             raise DimMismatch(f"bound shapes differ: {lo.shape} vs {hi.shape}")
+        if lo.ndim not in (1, 2):
+            raise DimMismatch(f"bounds of shape {lo.shape} are neither (n,) nor (B, n)")
         half = ((lo == -np.inf) & np.isfinite(hi)) | (np.isfinite(lo) & (hi == np.inf))
         if not np.all(half):
             bad = tuple(np.argwhere(~half)[0])
@@ -295,16 +297,25 @@ def cholesky(cov: np.ndarray) -> tuple[np.ndarray, bool]:
         ) from exc
 
 
-def _batch_shape(problem: MvnProblem, rect: Rectangle) -> tuple[int, ...]:
-    """Common leading batch shape of a problem and a rectangle."""
+def _half_lines(problem: MvnProblem, rect: Rectangle, shape=None):
+    """``(mean, sign, t)`` broadcast to ``shape``, by default their common
+    shape: coordinate ``j`` is ``sign_j * (x_j - t_j) <= 0``, so ``sign`` is
+    -1.0 for ``[l, inf)`` and 1.0 for ``(-inf, u]``, and ``t`` is the finite
+    end. DimMismatch if the dimensions differ or the shapes do not broadcast.
+    """
     if rect.dim != problem.dim:
         raise DimMismatch(f"rectangle dim {rect.dim} != problem dim {problem.dim}")
+    up = rect.upper == np.inf
+    sign = np.where(up, -1.0, 1.0)
+    t = np.where(up, rect.lower, rect.upper)
     try:
-        return np.broadcast_shapes(problem.mean.shape, rect.lower.shape)[:-1]
+        if shape is None:
+            shape = np.broadcast_shapes(problem.mean.shape, t.shape)
+        return tuple(np.broadcast_to(a, shape) for a in (problem.mean, sign, t))
     except ValueError:
-        raise DimMismatch(
-            f"batch shapes differ: mean {problem.mean.shape}, bounds {rect.lower.shape}"
-        ) from None
+        to = "" if shape is None else f" to {shape}"
+        raise DimMismatch(f"mean {problem.mean.shape} and bounds {t.shape} "
+                          f"do not broadcast{to}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -665,19 +676,11 @@ def cdf_rectangles(
     if not tol >= 0.0:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
     seeds = list(seeds)
-    shape = (len(seeds), problem.dim)
-    try:
-        mean, lower, upper = (np.broadcast_to(a, shape)
-                              for a in (problem.mean, rect.lower, rect.upper))
-    except ValueError:
-        raise DimMismatch(f"{problem.mean.shape} and {rect.lower.shape} vs {shape}") from None
     n = problem.dim
-    # Negate every variable whose half-line is [lo, inf), so it lies below
-    # its bound (1 - ndtr(lo) cancels to 0 in a far upper tail). Rounding is
-    # sign-symmetric, so mean - lower is -(lower - mean) bit for bit.
-    up = upper == np.inf
-    sign = np.where(up, -1.0, 1.0)
-    hi = np.where(up, mean - lower, upper - mean)
+    mean, sign, t = _half_lines(problem, rect, (len(seeds), n))
+    # Negate every variable whose half-line is [l, inf), so it lies below
+    # its bound (1 - ndtr(l) cancels to 0 in a far upper tail).
+    hi = sign * (t - mean)
     if n == 1:
         sd = math.sqrt(problem.cov[0, 0])
         return [CdfEstimate(float(v), 0.0, 0, True) for v in ndtr(hi[:, 0] / sd)]
@@ -765,36 +768,28 @@ def cdf_rectangle(
 # ---------------------------------------------------------------------------
 
 
-def _trunc_std_normal(rng: np.random.Generator, u, ab, flip, lh, p) -> np.ndarray:
-    """One draw per entry of a standard normal conditioned on the half-line
-    ``[a, b]``, where ``a = -inf`` or ``b = inf``.
+def _trunc_std_normal(rng: np.random.Generator, u, h, z) -> np.ndarray:
+    """One draw per entry of a standard normal conditioned on ``z <= h``,
+    written into the buffer ``z``, which is returned.
 
-    ``ab`` is a ``(2, m)`` array holding ``a`` over ``b``; ``flip`` (bool,
-    ``(m,)``), ``lh`` and ``p`` (``(2, m)``) are buffers this overwrites,
-    and the draws are returned as a view of ``p``. Half-lines above zero
-    are mirrored below it, where ``ndtr`` keeps full relative precision. The
-    inverse CDF of ``u`` (one uniform per entry) gives the bulk draws;
-    half-lines ``(-inf, b]`` beyond ``_FAR_TAIL`` standard deviations, where
-    the inverse CDF loses precision, use translated-exponential rejection
-    (Robert's method) on ``[-b, inf)`` with draws from ``rng``, repeated for
-    the entries still pending.
+    Every bound is an upper one: :func:`sample_truncated` mirrors each
+    ``[l, inf)``, as the integrator does, so ``ndtr`` works below the bound
+    with full relative precision. The inverse CDF of ``u`` (one uniform per
+    entry), ``ndtri(u * ndtr(h))``, gives the bulk draws; bounds more than
+    ``_FAR_TAIL`` standard deviations below zero, where the inverse CDF
+    loses precision, use translated-exponential rejection (Robert's method)
+    on ``[-h, inf)`` with draws from ``rng``, repeated for the entries
+    still pending.
     """
-    np.greater(ab[0], 0.0, out=flip)
-    np.copyto(lh, ab)
-    np.negative(ab[::-1], out=lh, where=flip)
-    hi = lh[1]
-    ndtr(lh, out=p)
-    p_lo, z = p
-    np.subtract(z, p_lo, out=z)
+    ndtr(h, out=z)
     np.multiply(z, u, out=z)
-    np.add(z, p_lo, out=z)
     ndtri(z, out=z)
-    # Bounds are NaN-free (finite means and precision, ordered bounds), so
-    # the minimum shows whether any entry needs the rejection sampler.
-    if hi.min() <= -_FAR_TAIL:
-        tail = np.flatnonzero(hi <= -_FAR_TAIL)
+    # Bounds are NaN-free (finite means and precision, finite ends), so the
+    # minimum shows whether any entry needs the rejection sampler.
+    if h.min() <= -_FAR_TAIL:
+        tail = np.flatnonzero(h <= -_FAR_TAIL)
         # Rejection on the upper tail [ta, inf), negated back below zero.
-        ta = -hi[tail]
+        ta = -h[tail]
         lam = 0.5 * (ta + np.sqrt(ta * ta + 4.0))
         pending = np.arange(tail.size)
         while pending.size:
@@ -803,7 +798,6 @@ def _trunc_std_normal(rng: np.random.Generator, u, ab, flip, lh, p) -> np.ndarra
             ok = np.log(v[1] + 1e-300) <= -0.5 * (cand - lam[pending]) ** 2
             z[tail[pending[ok]]] = -cand[ok]
             pending = pending[~ok]
-    np.negative(z, out=z, where=flip)
     return z
 
 
@@ -821,11 +815,12 @@ def sample_truncated(
     Returns ``batch + (chains * per_chain, n)`` draws, chain-major, with
     ``per_chain = ceil(n_samples / chains)``; deterministic given ``seed``.
 
-    The rectangle is sampled as given, infinite ends exactly: a
-    conditional half-line more than ``_FAR_TAIL`` standard deviations out
-    goes to the rejection sampler.
+    Each ``[l, inf)`` is mirrored as in :func:`cdf_rectangles`, so every
+    conditional is drawn below one bound; a bound more than ``_FAR_TAIL``
+    conditional sds below the conditional mean goes to the rejection sampler.
     """
-    batch = _batch_shape(problem, rect)
+    mean, sign, t = _half_lines(problem, rect)
+    batch = mean.shape[:-1]
     n = problem.dim
     q = problem.precision
     if not np.all(np.isfinite(q)):
@@ -833,28 +828,22 @@ def sample_truncated(
     chains = cfg.chains
     kept = -(-cfg.n_samples // chains)
     rng = np.random.default_rng(seed)
-
-    def per_row(a):
-        # (n, rows): coordinate-major so each update touches one contiguous row.
-        a = np.broadcast_to(a, batch + (n,)).reshape(-1, n)
-        return np.repeat(a, chains, axis=0).T.copy()
-
-    mu, lo, hi = per_row(problem.mean), per_row(rect.lower), per_row(rect.upper)
+    # (n, rows): coordinate-major so each update touches one contiguous row.
+    mu, sign, t = (np.repeat(a.reshape(-1, n), chains, axis=0).T.copy() for a in (mean, sign, t))
+    below, above = sign > 0.0, sign < 0.0
     # Open-interval clamp targets so rounding cannot park a draw on a bound.
-    lo_in = np.nextafter(lo, np.inf)
-    hi_in = np.nextafter(hi, -np.inf)
+    inner = np.nextafter(t, -sign * np.inf)
     cond_var = 1.0 / np.diag(q)
-    cond_sd = np.sqrt(cond_var)
+    # The conditional sd, negated where the half-line is mirrored.
+    sd = sign * np.sqrt(cond_var)[:, None]
     q_off = q - np.diag(np.diag(q))
 
     # Rectangle-projected mean as the starting state.
-    x = np.clip(mu, lo, hi)
-    dx = x - mu
-    bounds = np.stack([lo, hi], axis=1)
-    m = x.shape[1]
+    dx = sign * np.minimum(sign * (t - mu), 0.0)
+    m = dx.shape[1]
     # Every coordinate update works in these buffers, in place.
-    u, cm, flip = np.empty((n, m)), np.empty(m), np.empty(m, dtype=bool)
-    ab, lh, p = (np.empty((2, m)) for _ in range(3))
+    u, x = np.empty((n, m)), np.empty((n, m))
+    cm, h, z = np.empty(m), np.empty(m), np.empty(m)
     out = np.empty((kept, n, m))
     burn, thin = cfg.burn_in_sweeps, cfg.thinning
     for sweep in range(1, burn + kept * thin + 1):
@@ -864,13 +853,14 @@ def sample_truncated(
             np.matmul(q_off[j], dx, out=cm)
             np.multiply(cm, cond_var[j], out=cm)
             np.subtract(mu[j], cm, out=cm)
-            np.subtract(bounds[j], cm, out=ab)
-            np.divide(ab, cond_sd[j], out=ab)
-            z = _trunc_std_normal(rng, u[j], ab, flip, lh, p)
-            np.multiply(z, cond_sd[j], out=z)
+            # h = sign * (t - cm) / |sd|, the mirrored standardized bound.
+            np.subtract(t[j], cm, out=h)
+            np.divide(h, sd[j], out=h)
+            _trunc_std_normal(rng, u[j], h, z)
+            np.multiply(z, sd[j], out=z)
             np.add(z, cm, out=z)
-            np.maximum(z, lo_in[j], out=x[j])
-            np.minimum(x[j], hi_in[j], out=x[j])
+            np.minimum(z, inner[j], out=x[j], where=below[j])
+            np.maximum(z, inner[j], out=x[j], where=above[j])
             np.subtract(x[j], mu[j], out=dx[j])
         if sweep > burn and (sweep - burn) % thin == 0:
             out[(sweep - burn) // thin - 1] = x

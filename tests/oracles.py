@@ -274,9 +274,10 @@ def botev_gradient(cho, lo, hi, x, mu):
 
 def _trunc_std_normal_reference(rng, u, a, b):
     """One draw per entry of a standard normal conditioned on ``[a, b]``:
-    inverse CDF in the bulk (mirrored below zero), Robert's rejection past
-    4 standard deviations."""
-    flip = a > 0
+    inverse CDF in the bulk, Robert's rejection past 4 standard deviations.
+    Every interval with ``b = inf`` is mirrored to ``[-b, -a]``, so a
+    half-line is always drawn below its finite end."""
+    flip = b == np.inf
     lo, hi = np.where(flip, -b, a), np.where(flip, -a, b)
     p_lo = ndtr(lo)
     z = ndtri(p_lo + (ndtr(hi) - p_lo) * u)

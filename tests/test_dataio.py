@@ -101,6 +101,22 @@ class TestLoadCsv:
         assert back.species_names == ds.species_names
         assert back.feature_names == ds.feature_names
 
+    def test_byte_order_mark_is_read_as_text(self, tmp_path):
+        """Spreadsheet programs save "CSV UTF-8" with a leading BOM; both
+        loaders read such a file as they read the plain one."""
+        text = "sp:a,env:x,env:y\n1,0.5,1.5\n0,2.5,3.5\n"
+        plain = write(tmp_path, text)
+        bom = write(tmp_path, "\ufeff" + text, name="bom.csv")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        want, got = load_csv(plain), load_csv(bom)
+        assert got.species_names == want.species_names == ["a"]
+        assert got.feature_names == want.feature_names
+        np.testing.assert_array_equal(got.presence, want.presence)
+        np.testing.assert_array_equal(got.features, want.features)
+        (names, feats), (want_names, want_feats) = load_features_csv(bom), load_features_csv(plain)
+        assert names == want_names == ["x", "y"]
+        np.testing.assert_array_equal(feats, want_feats)
+
     def test_features_only_loader_ignores_species(self, tmp_path):
         path = write(tmp_path, "sp:a,env:x,env:y\n1,0.5,1.5\n0,2.5,3.5\n")
         names, feats = load_features_csv(path)

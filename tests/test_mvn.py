@@ -89,6 +89,16 @@ class TestRectangle:
         presence = Rectangle.from_presence([[1, 0], [0, 1]])
         assert Rectangle(presence.lower, presence.upper).dim == 2
 
+    @pytest.mark.parametrize("lower, upper, message", [
+        (np.zeros(2), np.full(3, np.inf), r"bound shapes differ: \(2,\) vs \(3,\)"),
+        (np.zeros((2, 2, 2)), np.full((2, 2, 2), np.inf),
+         r"bounds of shape \(2, 2, 2\) are neither \(n,\) nor \(B, n\)"),
+        (0.0, np.inf, r"bounds of shape \(\) are neither"),
+    ], ids=["differ", "three-axes", "scalar"])
+    def test_bad_shape_is_named(self, lower, upper, message):
+        with pytest.raises(DimMismatch, match=message):
+            Rectangle(lower, upper)
+
     def test_batch_names_the_bad_row(self):
         lower = np.array([[0.0, -np.inf], [-np.inf, -np.inf], [0.0, -1.0]])
         upper = np.array([[np.inf, 0.0], [0.0, 0.0], [np.inf, 1.0]])
@@ -205,6 +215,10 @@ class TestCdfRectangle:
         p = MvnProblem([0.0, 0.0], np.eye(2))
         with pytest.raises(DimMismatch):
             cdf_rectangle(p, Rectangle.from_presence([1, 1, 1]))
+        # One coordinate is not broadcast over every variable.
+        p = MvnProblem(np.zeros(3), np.eye(3))
+        with pytest.raises(DimMismatch, match="rectangle dim 1 != problem dim 3"):
+            cdf_rectangle(p, Rectangle([0.0], [np.inf]))
 
 
 def _record_passes(monkeypatch):
@@ -696,6 +710,7 @@ class TestCdfRectangles:
         (4, [1, 1], 4),  # rectangle of another dimension
         (4, [1, 1, 1], 3),  # fewer seeds than means
         (1, np.ones((2, 3)), 3),  # seeds disagree with the rectangles
+        (4, [1], 4),  # one coordinate, which would broadcast over three
     ])
     def test_mismatch_rejected(self, rows, bits, n_seeds):
         p = MvnProblem(self.mean[:rows], self.cov)
@@ -792,9 +807,9 @@ class TestSampleTruncated:
         real = mvn._trunc_std_normal
         tails = []
 
-        def spying(rng_, u, ab, *buffers):
-            tails.append(np.where(ab[0] > 0, -ab[0], ab[1]).min() <= -mvn._FAR_TAIL)
-            return real(rng_, u, ab, *buffers)
+        def spying(rng_, u, h, z):
+            tails.append(h.min() <= -mvn._FAR_TAIL)
+            return real(rng_, u, h, z)
 
         monkeypatch.setattr(mvn, "_trunc_std_normal", spying)
         for rows, far in ((slice(0, 2), False), (slice(0, 3), True)):
@@ -803,6 +818,38 @@ class TestSampleTruncated:
             got = sample_truncated(p, rect, cfg, 21)
             assert any(tails) if far else not all(tails)
             np.testing.assert_array_equal(got, sample_truncated_reference(p, rect, cfg, 21))
+
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    def test_no_preferred_side(self, n):
+        """Negating a subset of coordinates (the mean, the covariance's rows
+        and columns, and each half-line moved to the other side) negates the
+        draws bit for bit at the same seed, and leaves the integrator's
+        estimates equal: both work below one mirrored bound per variable,
+        whichever side a half-line is on."""
+        rng = np.random.default_rng(70 + n)
+        cov = random_correlation(rng, n)
+        mean = rng.normal(size=(3, n))
+        # Half-lines on random sides at thresholds around the mean.
+        up = rng.random((3, n)) < 0.5
+        t = mean + rng.normal(size=(3, n))
+        # Row 2: species 0 confined to [8 sd above its mean, inf), which
+        # takes the rejection sampler.
+        up[2, 0], t[2, 0] = True, mean[2, 0] + 8.0
+        s = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        s[0] = -1.0
+
+        def problem_and_rect(mean, cov, up, t):
+            rect = Rectangle(np.where(up, t, -np.inf), np.where(up, np.inf, t))
+            return MvnProblem(mean, cov), rect
+
+        given = problem_and_rect(mean, cov, up, t)
+        negated = problem_and_rect(mean * s, cov * np.outer(s, s), up ^ (s < 0), t * s)
+        cfg = SamplerConfig(n_samples=64, burn_in_sweeps=3, thinning=2)
+        draws = sample_truncated(*given, cfg, 21)
+        assert np.all(draws[2, :, 0] > t[2, 0])
+        np.testing.assert_array_equal(sample_truncated(*negated, cfg, 21), s * draws)
+        assert (cdf_rectangles(*negated, [5, 6, 7], tol=1e-3)
+                == cdf_rectangles(*given, [5, 6, 7], tol=1e-3))
 
     def test_far_tail_interval(self):
         # Half-lines entirely beyond 4 sd, on either side of the mean,
