@@ -332,11 +332,13 @@ def _build_synth_spec(entries: dict) -> dataio.SynthSpec:
     missing = [key for key in ("n_species", "m_features", "n_obs") if key not in spec]
     if missing:
         raise ConfigError(f"missing required key {missing[0]!r}")
-    rho = spec.pop("rho", 0.0)
     if "sigma_csv" in spec:
+        if "rho" in spec:
+            raise ConfigError("keys 'rho' and 'sigma_csv' are both set; give one")
         sigma = spec.pop("sigma_csv")[1]
     else:
-        sigma = np.full((max(spec["n_species"], 0),) * 2, rho)  # SynthSpec rejects n < 1
+        # SynthSpec rejects n < 1.
+        sigma = np.full((max(spec["n_species"], 0),) * 2, spec.pop("rho", 0.0))
         np.fill_diagonal(sigma, 1.0)
     try:
         return dataio.SynthSpec(true_sigma=sigma, **spec)

@@ -34,12 +34,12 @@ gradients:
   sums, which moves estimates by a few ulps.
 - Gibbs sampling of the normal restricted to such a product of
   half-lines, mirrored as the integrator mirrors it, so every conditional
-  is drawn below one bound. A problem's mean and a rectangle's bounds may
-  carry a leading batch axis (one covariance, many means), which the
-  sampler advances together. Each coordinate update works in place in
-  buffers allocated once per call, and runs the far-tail rejection step
-  only when an entry needs it; the random stream and the draws are those
-  of the plainer form in ``tests/oracles.py``.
+  is drawn below one bound, by the inverse CDF of one uniform per entry.
+  A problem's mean and a rectangle's bounds may carry a leading batch axis
+  (one covariance, many means), which the sampler advances together. Each
+  coordinate update works in place in buffers allocated once per call; the
+  random stream and the draws are those of the plainer form in
+  ``tests/oracles.py``.
 
 All operations are pure given their inputs plus an explicit seed; values
 are immutable, and the precision matrix is computed at construction time
@@ -50,13 +50,14 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from scipy.fft import fft, ifft
 from scipy.linalg import solve_triangular
-from scipy.special import log_ndtr, ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .errors import DimMismatch, NotPositiveDefinite, SingularCovariance
 
@@ -95,10 +96,6 @@ _BLOCK = 2 * _CHUNK
 _COND_BLOCK = 32
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-# Conditional-sd multiple beyond which inverse-CDF sampling switches to
-# exponential rejection.
-_FAR_TAIL = 4.0
 
 #: Gibbs chains run per observation (fewer when fewer draws are asked for).
 CHAINS = 32
@@ -768,36 +765,25 @@ def cdf_rectangle(
 # ---------------------------------------------------------------------------
 
 
-def _trunc_std_normal(rng: np.random.Generator, u, h, z) -> np.ndarray:
+def _trunc_std_normal(u, h, z) -> np.ndarray:
     """One draw per entry of a standard normal conditioned on ``z <= h``,
     written into the buffer ``z``, which is returned.
 
     Every bound is an upper one: :func:`sample_truncated` mirrors each
     ``[l, inf)``, as the integrator does, so ``ndtr`` works below the bound
-    with full relative precision. The inverse CDF of ``u`` (one uniform per
-    entry), ``ndtri(u * ndtr(h))``, gives the bulk draws; bounds more than
-    ``_FAR_TAIL`` standard deviations below zero, where the inverse CDF
-    loses precision, use translated-exponential rejection (Robert's method)
-    on ``[-h, inf)`` with draws from ``rng``, repeated for the entries
-    still pending.
+    with full relative precision. The draw is the inverse CDF of ``u`` (one
+    uniform per entry), ``ndtri(u * ndtr(h))``. Where that product falls
+    below the normal float range (from bounds about 37.5 sd out), the same
+    inverse CDF is taken in log space, ``ndtri_exp(log(u) + log_ndtr(h))``.
     """
     ndtr(h, out=z)
     np.multiply(z, u, out=z)
+    # Products below the smallest normal float (subnormal or zero) take the
+    # log form.
+    deep = np.flatnonzero(z < sys.float_info.min)
     ndtri(z, out=z)
-    # Bounds are NaN-free (finite means and precision, finite ends), so the
-    # minimum shows whether any entry needs the rejection sampler.
-    if h.min() <= -_FAR_TAIL:
-        tail = np.flatnonzero(h <= -_FAR_TAIL)
-        # Rejection on the upper tail [ta, inf), negated back below zero.
-        ta = -h[tail]
-        lam = 0.5 * (ta + np.sqrt(ta * ta + 4.0))
-        pending = np.arange(tail.size)
-        while pending.size:
-            v = rng.random((2, pending.size))
-            cand = ta[pending] - np.log1p(-v[0]) / lam[pending]
-            ok = np.log(v[1] + 1e-300) <= -0.5 * (cand - lam[pending]) ** 2
-            z[tail[pending[ok]]] = -cand[ok]
-            pending = pending[~ok]
+    if deep.size:
+        z[deep] = ndtri_exp(np.log(u[deep]) + log_ndtr(h[deep]))
     return z
 
 
@@ -816,8 +802,9 @@ def sample_truncated(
     ``per_chain = ceil(n_samples / chains)``; deterministic given ``seed``.
 
     Each ``[l, inf)`` is mirrored as in :func:`cdf_rectangles`, so every
-    conditional is drawn below one bound; a bound more than ``_FAR_TAIL``
-    conditional sds below the conditional mean goes to the rejection sampler.
+    conditional is drawn below one bound, by :func:`_trunc_std_normal`'s
+    inverse CDF; each sweep takes one uniform per entry from the generator,
+    and nothing else.
     """
     mean, sign, t = _half_lines(problem, rect)
     batch = mean.shape[:-1]
@@ -856,7 +843,7 @@ def sample_truncated(
             # h = sign * (t - cm) / |sd|, the mirrored standardized bound.
             np.subtract(t[j], cm, out=h)
             np.divide(h, sd[j], out=h)
-            _trunc_std_normal(rng, u[j], h, z)
+            _trunc_std_normal(u[j], h, z)
             np.multiply(z, sd[j], out=z)
             np.add(z, cm, out=z)
             np.minimum(z, inner[j], out=x[j], where=below[j])

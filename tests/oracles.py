@@ -23,7 +23,7 @@ import itertools
 import math
 
 import numpy as np
-from scipy.special import log_ndtr, logsumexp, ndtr, ndtri
+from scipy.special import log_ndtr, logsumexp, ndtr, ndtri, ndtri_exp
 
 # Common-factor grid of :func:`equicorrelated_log_prob`: wide enough for
 # latent means of 20 sd, and a step at which the trapezoid error of the
@@ -272,34 +272,27 @@ def botev_gradient(cho, lo, hi, x, mu):
     return d_x, mu - x + p[:m]
 
 
-def _trunc_std_normal_reference(rng, u, a, b):
-    """One draw per entry of a standard normal conditioned on ``[a, b]``:
-    inverse CDF in the bulk, Robert's rejection past 4 standard deviations.
-    Every interval with ``b = inf`` is mirrored to ``[-b, -a]``, so a
-    half-line is always drawn below its finite end."""
+def _trunc_std_normal_reference(u, a, b):
+    """One draw per entry of a standard normal conditioned on ``[a, b]``, by
+    the inverse CDF of ``u``. Where the probability below the draw leaves
+    the normal float range, which the sampler reaches only on half-lines
+    ``(-inf, b]``, it is taken in log space. Every interval with
+    ``b = inf`` is mirrored to ``[-b, -a]``, so a half-line is always drawn
+    below its finite end."""
     flip = b == np.inf
     lo, hi = np.where(flip, -b, a), np.where(flip, -a, b)
     p_lo = ndtr(lo)
-    z = ndtri(p_lo + (ndtr(hi) - p_lo) * u)
-    tail = np.flatnonzero(hi <= -4.0)
-    # Rejection on the upper-tail interval [ta, tb], negated back below zero.
-    ta, tb = -hi[tail], -lo[tail]
-    lam = 0.5 * (ta + np.sqrt(ta * ta + 4.0))
-    cap = -np.expm1(-lam * (tb - ta))
-    pending = np.arange(tail.size)
-    while pending.size:
-        v = rng.random((2, pending.size))
-        cand = ta[pending] - np.log1p(-v[0] * cap[pending]) / lam[pending]
-        ok = np.log(v[1] + 1e-300) <= -0.5 * (cand - lam[pending]) ** 2
-        z[tail[pending[ok]]] = -cand[ok]
-        pending = pending[~ok]
+    p = p_lo + (ndtr(hi) - p_lo) * u
+    z = ndtri(p)
+    deep = p < np.finfo(float).tiny
+    z[deep] = ndtri_exp(np.log(u[deep]) + log_ndtr(hi[deep]))
     return np.where(flip, -z, z)
 
 
 def sample_truncated_reference(problem, rect, cfg, seed):
     """Reference Gibbs sampler: ``dmse.mvn.sample_truncated``'s systematic
     scan and random stream, written with a new array for every operation
-    and the rejection step run on every coordinate, hits or not."""
+    and the log-space inverse CDF run on every coordinate, hits or not."""
     batch = np.broadcast_shapes(problem.mean.shape, rect.lower.shape)[:-1]
     n = problem.dim
     q = problem.precision
@@ -326,7 +319,7 @@ def sample_truncated_reference(problem, rect, cfg, seed):
         for j in range(n):
             cm = mu[j] - cond_var[j] * (q_off[j] @ dx)
             cs = cond_sd[j]
-            z = _trunc_std_normal_reference(rng, u[j], (lo[j] - cm) / cs, (hi[j] - cm) / cs)
+            z = _trunc_std_normal_reference(u[j], (lo[j] - cm) / cs, (hi[j] - cm) / cs)
             x[j] = np.clip(cm + cs * z, lo_in[j], hi_in[j])
             dx[j] = x[j] - mu[j]
         if sweep > burn and (sweep - burn) % thin == 0:

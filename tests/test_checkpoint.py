@@ -146,6 +146,31 @@ class TestCorruption:
         with pytest.raises(CorruptCheckpoint):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("case, message", [
+        ("truncated", "^truncated checkpoint$"),
+        ("bad-utf8", "^invalid UTF-8 in name table$"),
+        ("version-2", "^unsupported format version 2$"),
+        ("first-dim", "^layer dims inconsistent with header dims$"),
+    ])
+    def test_body_rejected_past_a_valid_crc(self, tmp_path, case, message):
+        body = checkpoint_bytes(sample_params())[:-4]
+        if case == "truncated":
+            body = body[: len(body) // 2]
+        elif case == "bad-utf8":
+            assert body.count(b"wren") == 1
+            body = body.replace(b"wren", b"\xffren")
+        elif case == "version-2":
+            body = body[:4] + struct.pack("<H", 2) + body[6:]
+        else:
+            # The first layer dim, after the 28 header bytes, is the input
+            # width: 3 features, written here as 4.
+            assert body[28:32] == struct.pack("<I", 3)
+            body = body[:28] + struct.pack("<I", 4) + body[32:]
+        path = tmp_path / "model.dmse"
+        path.write_bytes(with_crc(body))
+        with pytest.raises(CorruptCheckpoint, match=message):
+            load_checkpoint(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.dmse"
         save_checkpoint(sample_params(), path)

@@ -21,6 +21,7 @@ from dmse.cli import (
 from dmse.errors import ConfigError
 from dmse.model import FeatureStandardization, ModelParams, sigma_from_lambda
 from oracles import bvn_orthant
+from test_training import poison_gradients
 
 FAST_TRAIN = (
     "learning_rate = 0.1\n"
@@ -171,6 +172,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: CorruptCheckpoint: standardization std must be > 0, got 0.0\n"
         )
+
+    def test_training_aborted_is_4_without_checkpoint(self, workspace, capsys, monkeypatch):
+        """Every gradient NaN: each step is skipped, the first epoch aborts
+        the run, and no checkpoint is written."""
+        poison_gradients(monkeypatch, every=1)
+        ws, data, cfg, _ = workspace
+        capsys.readouterr()
+        out = ws / "aborted.dmse"
+        assert main(["train", "--data", data, "--config", cfg, "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith(
+            "error: TrainingAborted: 6/6 steps skipped in epoch 0")
+        assert not out.exists()
+        steps = [json.loads(line) for line in (ws / "aborted.dmse.log").read_text().splitlines()]
+        assert [rec["skipped"] for rec in steps] == [True] * 6
 
     def test_presence_diagnostic_names_row_and_column(self, tmp_path, capsys):
         data = write(tmp_path, "d.csv", "sp:a,env:x\n1,0.0\n2,0.0\n")
@@ -410,6 +425,17 @@ class TestPredictCommand:
         for row in rows[1:]:
             assert [float(v) for v in row.split(",")] == [0.5, 0.5]
 
+    def test_other_feature_columns_is_3(self, tmp_path, capsys):
+        model = self.make_model(tmp_path, np.eye(2))
+        feats = tmp_path / "f.csv"
+        feats.write_text("env:y\n0.0\n", encoding="utf-8")
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--features-csv", str(feats), "--model", model,
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: DimMismatch: feature columns ['y'] do not match the checkpoint's ['x']\n")
+        assert not out.exists()
+
     def test_joint_pattern_correlated_orthant(self, tmp_path):
         rho = 0.5
         lam = np.array([[1.0, rho], [0.0, math.sqrt(1 - rho * rho)]])
@@ -629,6 +655,40 @@ class TestSynthCommand:
         written = load_csv(out)
         np.testing.assert_array_equal(written.presence, again.presence)
         np.testing.assert_allclose(written.features, again.features, rtol=1e-12)
+
+    def test_exported_correlations_are_the_truth(self, workspace):
+        """``dmse export``'s correlations.csv, fed back as ``sigma_csv``,
+        is the truth file's ``true_sigma`` exactly."""
+        ws, data, cfg, model = workspace
+        assert main(["export", "--model", model, "--out-dir", str(ws / "exports")]) == 0
+        csv_path = ws / "exports" / "correlations.csv"
+        spec = write(ws, "s2.cfg", SYNTH_SPEC.replace("rho = 0.5\n", f"sigma_csv = {csv_path}\n"))
+        out = ws / "again.csv"
+        assert main(["synth", "--spec-config", spec, "--out", str(out)]) == 0
+        truth = json.loads((ws / "again.csv.truth.json").read_text())
+        np.testing.assert_array_equal(np.array(truth["true_sigma"]),
+                                      read_correlation_csv(csv_path)[1])
+
+    def test_rho_and_sigma_csv_together_is_config_error(self, tmp_path, capsys):
+        sigma = write(tmp_path, "sigma.csv", "species,a,b\na,1,0.9\nb,0.9,1\n")
+        spec = write(tmp_path, "s.cfg", SYNTH_SPEC + f"sigma_csv = {sigma}\n")
+        code = main(["synth", "--spec-config", spec, "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ConfigError: ") and "'rho'" in err and "'sigma_csv'" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_seed_flag_is_reproducible_and_overrides_the_key(self, tmp_path):
+        def written(name, spec_text, *argv):
+            spec = write(tmp_path, name + ".cfg", spec_text)
+            out = tmp_path / (name + ".csv")
+            assert main(["synth", "--spec-config", spec, "--out", str(out), *argv]) == 0
+            return out.read_bytes(), (tmp_path / (name + ".csv.truth.json")).read_bytes()
+
+        seeded = written("a", SYNTH_SPEC, "--seed", "3")
+        assert written("b", SYNTH_SPEC, "--seed", "3") == seeded
+        assert written("c", SYNTH_SPEC.replace("seed = 4", "seed = 999"), "--seed", "3") == seeded
+        assert written("d", SYNTH_SPEC) != seeded
 
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         spec = write(tmp_path, "s.cfg", SYNTH_SPEC + "volume = 11\n")

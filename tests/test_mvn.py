@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from dmse import mvn
 from dmse.errors import DimMismatch, NotPositiveDefinite
@@ -783,17 +784,18 @@ class TestSampleTruncated:
     @pytest.mark.parametrize("kind", ["presence", "far"])
     def test_matches_reference_stream(self, kind, n, monkeypatch):
         """The in-place sweep draws what the reference sampler draws, bit
-        for bit: on rows in the bulk, whose updates skip the rejection step,
-        and with a row whose conditionals lie past ``_FAR_TAIL``, which take
-        the rejection sampler's extra uniforms (the reference takes them on
-        its general ``[ta, tb]`` interval with ``tb = inf``)."""
+        for bit: on rows in the bulk, whose inverse CDFs stay in the normal
+        float range, and with a row whose conditionals lie 40 sd out, past
+        ``ndtr``'s range, which take the log-space inverse CDF (the
+        reference takes it on its general ``[a, b]`` interval with
+        ``a = -inf``)."""
         rng = np.random.default_rng(90 + n)
         cov = random_correlation(rng, n)
         mean = rng.normal(size=(3, n))
         if kind == "presence":
             bits = rng.integers(0, 2, size=(3, n))
-            # Row 2: present species 6 sd below their bound, absent ones 6 above.
-            mean[2] = np.where(bits[2] == 1, -6.0, 6.0)
+            # Row 2: present species 40 sd below their bound, absent ones 40 above.
+            mean[2] = np.where(bits[2] == 1, -40.0, 40.0)
             presence = Rectangle.from_presence(bits)
             lower, upper = presence.lower, presence.upper
         else:
@@ -801,15 +803,15 @@ class TestSampleTruncated:
             up = rng.random((3, n)) < 0.5
             t = mean + rng.normal(size=(3, n))
             lower, upper = np.where(up, t, -np.inf), np.where(up, np.inf, t)
-            # Row 2: species 0 confined to [8 sd above its mean, inf).
-            lower[2, 0], upper[2, 0] = mean[2, 0] + 8.0, np.inf
+            # Row 2: species 0 confined to [40 sd above its mean, inf).
+            lower[2, 0], upper[2, 0] = mean[2, 0] + 40.0, np.inf
         cfg = SamplerConfig(n_samples=64, burn_in_sweeps=3, thinning=2)
         real = mvn._trunc_std_normal
         tails = []
 
-        def spying(rng_, u, h, z):
-            tails.append(h.min() <= -mvn._FAR_TAIL)
-            return real(rng_, u, h, z)
+        def spying(u, h, z):
+            tails.append((ndtr(h) * u).min() < np.finfo(float).tiny)
+            return real(u, h, z)
 
         monkeypatch.setattr(mvn, "_trunc_std_normal", spying)
         for rows, far in ((slice(0, 2), False), (slice(0, 3), True)):
@@ -832,9 +834,9 @@ class TestSampleTruncated:
         # Half-lines on random sides at thresholds around the mean.
         up = rng.random((3, n)) < 0.5
         t = mean + rng.normal(size=(3, n))
-        # Row 2: species 0 confined to [8 sd above its mean, inf), which
-        # takes the rejection sampler.
-        up[2, 0], t[2, 0] = True, mean[2, 0] + 8.0
+        # Row 2: species 0 confined to [40 sd above its mean, inf), which
+        # takes the log-space inverse CDF.
+        up[2, 0], t[2, 0] = True, mean[2, 0] + 40.0
         s = np.where(rng.random(n) < 0.5, -1.0, 1.0)
         s[0] = -1.0
 
@@ -852,17 +854,18 @@ class TestSampleTruncated:
                 == cdf_rectangles(*given, [5, 6, 7], tol=1e-3))
 
     def test_far_tail_interval(self):
-        # Half-lines entirely beyond 4 sd, on either side of the mean,
-        # exercise the rejection path.
+        # Half-lines 5 sd out on either side of the mean, and 40 and 150 sd
+        # out, past ndtr's range, where the inverse CDF is taken in log space.
         from scipy.stats import truncnorm
 
         p = MvnProblem([0.0], [[1.0]])
         cfg = SamplerConfig(n_samples=20_000, burn_in_sweeps=10, thinning=1)
-        for lo, hi in ((5.0, np.inf), (-np.inf, -5.0)):
-            draws = sample_truncated(p, Rectangle([lo], [hi]), cfg, 5)
-            assert np.all((draws > lo) & (draws < hi))
-            exact = truncnorm(lo, hi).mean()
-            assert abs(draws.mean() - exact) <= 4 * batch_se(draws[:, 0]) + 1e-3
+        for h in (5.0, 40.0, 150.0):
+            for lo, hi in ((h, np.inf), (-np.inf, -h)):
+                draws = sample_truncated(p, Rectangle([lo], [hi]), cfg, 5)
+                assert np.all((draws > lo) & (draws < hi))
+                exact = truncnorm(lo, hi).mean()
+                assert abs(draws.mean() - exact) <= 4 * batch_se(draws[:, 0])
 
 
 class TestSamplerConfig:

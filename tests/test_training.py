@@ -1,10 +1,12 @@
 """Tests for AdaGrad updates, the training loop, and k-fold splitting."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from dmse import training
 from dmse.checkpoint import checkpoint_bytes
 from dmse.dataio import SynthSpec, synth_from_truth, synth_generate, standardize, true_mu
 from dmse.errors import ConfigError, InvalidK, NonFiniteGradient
@@ -54,6 +56,21 @@ def quick_cfg(**kw):
     )
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+def poison_gradients(monkeypatch, every):
+    """Make the gradient of every ``every``-th minibatch, from the first,
+    NaN."""
+    real, calls = training.grad_mu_sigma, []
+
+    def poisoned(*args):
+        grad = real(*args)
+        calls.append(None)
+        if (len(calls) - 1) % every:
+            return grad
+        return dataclasses.replace(grad, d_mu=np.full_like(grad.d_mu, np.nan))
+
+    monkeypatch.setattr(training, "grad_mu_sigma", poisoned)
 
 
 class TestAdagradStep:
@@ -228,6 +245,36 @@ class TestTrain:
                                 "wall_time", "skipped", "minibatch_loglik_err"}
             assert rec["minibatch_loglik"] <= 0.0
             assert rec["minibatch_loglik_err"] >= 0.0  # also false for NaN
+
+    def test_non_finite_gradients_skip_then_abort(self, monkeypatch):
+        """With every gradient NaN, each step is logged as skipped and leaves
+        the parameters and AdaGrad accumulators as they were; the run aborts
+        at the end of its first epoch."""
+        poison_gradients(monkeypatch, every=1)
+        real_step, untouched = training.adagrad_step, []
+
+        def checked_step(params, state, bundle, cfg):
+            before = [t.copy() for t in params.tensors() + state.acc]
+            try:
+                real_step(params, state, bundle, cfg)
+            finally:
+                untouched.append(all(np.array_equal(a, b) for a, b in
+                                     zip(before, params.tensors() + state.acc, strict=True)))
+
+        monkeypatch.setattr(training, "adagrad_step", checked_step)
+        ds, _ = synth_generate(SynthSpec(n_species=2, m_features=2, n_obs=16, seed=9))
+        sunk = []
+        with pytest.raises(NonFiniteGradient, match="4/4 steps skipped in epoch 0"):
+            train(ds, quick_cfg(epochs=3), init_seed=0, log_sink=sunk.append)
+        assert [(r["epoch"], r["skipped"]) for r in sunk] == [(0, True)] * 4
+        assert untouched == [True] * 4
+
+    def test_half_the_steps_skipped_runs_on(self, monkeypatch):
+        poison_gradients(monkeypatch, every=2)
+        ds, _ = synth_generate(SynthSpec(n_species=2, m_features=2, n_obs=16, seed=9))
+        params, records = train(ds, quick_cfg(epochs=2), init_seed=0)
+        assert [r["skipped"] for r in records] == [True, False] * 4
+        assert np.all(np.isfinite(params.S))
 
     def test_single_species_learns_strong_signal(self):
         """Held-out AUC must exceed 0.9 when the generating signal's own
