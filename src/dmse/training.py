@@ -9,9 +9,9 @@ once per step since they do not depend on the features.
 
 Each step makes one record, the run's only trace: :func:`train` streams it
 to its sink and returns the list. Besides the gradient's standard error it
-holds the minibatch log-likelihood, at ``tol=math.inf`` (one lattice pass
-per observation, never a miss), and its relative error. Every epoch runs;
-held-out data is scored by :func:`dmse.evaluation.evaluate`.
+holds the minibatch log-likelihood from one tilted ``tol=math.inf`` pass
+per observation, which feeds no gradient, and its relative error. Every
+epoch runs; held-out data is scored by :func:`dmse.evaluation.evaluate`.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class TrainConfig:
 
     ``cdf_tol`` is read only by ``dmse cv``, which evaluates each fold at
     this tolerance; :func:`train` never reads it (its logged estimate is
-    always one lattice pass, and gradient estimation never integrates).
+    one ``tol=math.inf`` pass, and gradient estimation never integrates).
     ``hidden_dims=()`` trains the linear model, whose network has no layers
     (projection of raw features only).
     """
