@@ -36,10 +36,13 @@ __all__ = ["save_checkpoint", "load_checkpoint", "checkpoint_bytes", "FORMAT_VER
 MAGIC = b"DMSE"
 FORMAT_VERSION = 1
 
+#: Longest species or feature name, in UTF-8 bytes, that the name table holds.
+MAX_NAME_BYTES = 0xFFFF
+
 
 def _pack_name(name: str) -> bytes:
     raw = name.encode("utf-8")
-    if len(raw) > 0xFFFF:
+    if len(raw) > MAX_NAME_BYTES:
         raise ValueError(f"name too long: {name[:32]!r}...")
     return struct.pack("<H", len(raw)) + raw
 
@@ -79,8 +82,10 @@ def checkpoint_bytes(params: ModelParams) -> bytes:
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
+    # Serialized first, so parameters that cannot be saved leave ``path`` as it was.
+    data = checkpoint_bytes(params)
     with open(path, "wb") as fh:
-        fh.write(checkpoint_bytes(params))
+        fh.write(data)
 
 
 class _Reader:

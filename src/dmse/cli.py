@@ -7,8 +7,9 @@ the fields of their config dataclasses (``synth`` adds ``rho`` and
 ``sigma_csv``), and the first unknown key in file order, then the first
 value that does not parse, then the first value the dataclass rejects, is
 a configuration error. The AdaGrad epsilon is not a key: it is fixed at
-:data:`dmse.training.ADAGRAD_EPSILON`. All randomness flows from one
-``--seed`` through named sub-streams, so runs are reproducible end to end.
+:data:`dmse.training.ADAGRAD_EPSILON`. In these three commands ``--seed N``
+is the last override, ``seed = N``. All randomness flows from that one
+seed through named sub-streams, so runs are reproducible end to end.
 
 Exit codes: 2 for configuration errors, 3 for data errors, 4 for a
 training abort.
@@ -79,6 +80,11 @@ def read_config(path: str | None, overrides=()) -> dict:
         key, value = item.split("=", 1)
         entries[key.strip()] = value.strip()
     return entries
+
+
+def _overrides(entries, seed) -> list:
+    """The ``--set`` ``entries``, then ``seed=N`` for ``--seed N``, which wins."""
+    return list(entries or ()) + ([] if seed is None else [f"seed={seed}"])
 
 
 def _parse_hidden_dims(value: str) -> tuple[int, ...]:
@@ -181,11 +187,9 @@ def _jsonl_sink(fh):
 
 
 def cmd_train(args) -> int:
-    cfg = build_train_config(read_config(args.config, args.set))
-    if args.seed is not None:
-        cfg = replace(cfg, seed=derive_seed(args.seed, "train"))
+    cfg = build_train_config(read_config(args.config, _overrides(args.set, args.seed)))
     dataset = dataio.load_csv(args.data)
-    init_seed = derive_seed(args.seed if args.seed is not None else cfg.seed, "init")
+    init_seed = derive_seed(cfg.seed, "init")
     log_path = args.out + ".log"
     with open(log_path, "w", encoding="utf-8") as log_fh:
         params, _ = train(dataset, cfg, init_seed=init_seed, log_sink=_jsonl_sink(log_fh))
@@ -276,25 +280,23 @@ def cmd_export(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    cfg = build_train_config(read_config(args.config, args.set))
+    cfg = build_train_config(read_config(args.config, _overrides(args.set, args.seed)))
     dataset = dataio.load_csv(args.data)
     if not 2 <= args.k <= len(dataset):
         raise ConfigError(f"--k must be in [2, n_obs={len(dataset)}], got {args.k}")
-    # As in train: --seed overrides the config's seed.
-    seed = args.seed if args.seed is not None else cfg.seed
-    splits = kfold_split(len(dataset), args.k, seed=derive_seed(seed, "folds"))
+    splits = kfold_split(len(dataset), args.k, seed=derive_seed(cfg.seed, "folds"))
     os.makedirs(args.out_dir, exist_ok=True)
     metrics = []
     for i, (trn, val) in enumerate(splits):
-        fold_cfg = replace(cfg, seed=derive_seed(seed, "fold", i))
+        fold_cfg = replace(cfg, seed=derive_seed(cfg.seed, "fold", i))
         try:
             params, _ = train(
                 dataset.subset(trn), fold_cfg,
-                init_seed=derive_seed(seed, "fold-init", i),
+                init_seed=derive_seed(cfg.seed, "fold-init", i),
             )
             report = evaluate(
                 params, dataset.subset(val), cdf_tol=cfg.cdf_tol,
-                seed=derive_seed(seed, "fold-eval", i),
+                seed=derive_seed(cfg.seed, "fold-eval", i),
             )
         except ConfigError:
             raise
@@ -350,13 +352,10 @@ def _build_synth_spec(entries: dict) -> dataio.SynthSpec:
 
 
 def cmd_synth(args) -> int:
-    entries = read_config(args.spec_config)
-    if args.seed is not None:
-        entries["seed"] = str(derive_seed(args.seed, "synth"))
-    spec = _build_synth_spec(entries)
+    spec = _build_synth_spec(read_config(args.spec_config, _overrides((), args.seed)))
     dataset, truth = dataio.synth_generate(spec)
     # Serialized first, so a failure leaves neither file half written.
-    truth_text = json.dumps(truth.to_jsonable(), indent=1)
+    truth_text = truth.to_json()
     dataio.save_csv(dataset, args.out)
     with open(args.out + ".truth.json", "w", encoding="utf-8") as fh:
         fh.write(truth_text)

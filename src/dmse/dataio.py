@@ -12,11 +12,13 @@ and hold finite reals. Column order is preserved on load and save.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import MAX_NAME_BYTES
 from .errors import (
     DimMismatch,
     MalformedHeader,
@@ -57,8 +59,9 @@ class Dataset:
     ``features`` is ``(N, m)`` float with one column per feature name. Row
     ``i`` of both is checklist ``i``; with no rows the shapes stay ``(0, n)``
     and ``(0, m)``. Construction raises :class:`MalformedHeader` for
-    duplicate names, :class:`DimMismatch` for shapes that disagree, and
-    ``ValueError`` for presence entries other than 0/1.
+    duplicate names or a name too long for a checkpoint (over
+    ``MAX_NAME_BYTES`` UTF-8 bytes), :class:`DimMismatch` for shapes that
+    disagree, and ``ValueError`` for presence entries other than 0/1.
     """
 
     presence: np.ndarray
@@ -72,6 +75,11 @@ class Dataset:
         for kind, names in (("species", self.species_names), ("feature", self.feature_names)):
             if len(set(names)) != len(names):
                 raise MalformedHeader(f"duplicate {kind} names")
+            for name in names:
+                size = len(name.encode("utf-8"))
+                if size > MAX_NAME_BYTES:
+                    raise MalformedHeader(f"{kind} name {name[:32]!r}... is {size} UTF-8 "
+                                          f"bytes; a checkpoint holds at most {MAX_NAME_BYTES}")
         presence = np.asarray(self.presence)
         features = np.asarray(self.features, dtype=float)
         rows = presence.shape[:1]
@@ -293,20 +301,10 @@ class GroundTruth:
     map_params: dict
     true_sigma: np.ndarray
 
-    def to_jsonable(self) -> dict:
-        return _jsonable({"map_kind": self.map_kind, "map_params": self.map_params,
-                          "true_sigma": self.true_sigma})
-
-
-def _jsonable(value):
-    """``value`` with every array, also inside lists and dicts, as nested lists."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
+    def to_json(self) -> str:
+        """The truth as indented JSON, every array as nested lists."""
+        return json.dumps({"map_kind": self.map_kind, "map_params": self.map_params,
+                           "true_sigma": self.true_sigma}, indent=1, default=np.ndarray.tolist)
 
 
 def _raw_mu(kind: str, params: dict, feats: np.ndarray) -> np.ndarray:

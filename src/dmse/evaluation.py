@@ -17,7 +17,7 @@ from scipy.special import log_ndtr, ndtr
 
 from .dataio import Dataset, apply_standardization
 from .errors import DegenerateLabels, DimMismatch
-from .model import ModelParams, joint_estimates, mu_forward, sum_log_values
+from .model import ModelParams, joint_estimates, mu_forward
 from .mvn import DEFAULT_CDF_TOL
 from .seeding import derive_seed
 
@@ -46,18 +46,17 @@ class EvalReport:
     max_rel_err: float
     samples_used: int
 
+    #: The scalar metrics, in the order both renderings list them.
+    METRICS = ("n_obs", "joint_loglik", "independent_loglik", "mean_auc",
+               "tol_misses", "max_rel_err", "samples_used")
+
     def to_text(self) -> str:
-        lines = [
-            f"n_obs = {self.n_obs}",
-            f"joint_loglik = {self.joint_loglik!r}",
-            f"independent_loglik = {self.independent_loglik!r}",
-            f"joint_minus_independent_per_obs = "
-            f"{(self.joint_loglik - self.independent_loglik) / max(self.n_obs, 1)!r}",
-            f"mean_auc = {self.mean_auc!r}",
-            f"tol_misses = {self.tol_misses}",
-            f"max_rel_err = {self.max_rel_err!r}",
-            f"samples_used = {self.samples_used}",
-        ]
+        lines = []
+        for name in self.METRICS:
+            lines.append(f"{name} = {getattr(self, name)!r}")
+            if name == "independent_loglik":
+                gap = (self.joint_loglik - self.independent_loglik) / max(self.n_obs, 1)
+                lines.append(f"joint_minus_independent_per_obs = {gap!r}")
         for name, value in self.per_species_auc.items():
             lines.append(f"auc[{name}] = {'absent' if value is None else repr(value)}")
         return "\n".join(lines) + "\n"
@@ -66,13 +65,7 @@ class EvalReport:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["metric", "species", "value"])
-            writer.writerow(["n_obs", "", self.n_obs])
-            writer.writerow(["joint_loglik", "", repr(self.joint_loglik)])
-            writer.writerow(["independent_loglik", "", repr(self.independent_loglik)])
-            writer.writerow(["mean_auc", "", repr(self.mean_auc)])
-            writer.writerow(["tol_misses", "", self.tol_misses])
-            writer.writerow(["max_rel_err", "", repr(self.max_rel_err)])
-            writer.writerow(["samples_used", "", self.samples_used])
+            writer.writerows([name, "", repr(getattr(self, name))] for name in self.METRICS)
             for name, value in self.per_species_auc.items():
                 writer.writerow(["auc", name, "" if value is None else repr(value)])
 
@@ -154,8 +147,9 @@ def evaluate(
     estimates = joint_estimates(params, presence, mu, cdf_tol, derive_seed(seed, "joint"))
     independent = float(np.sum(log_ndtr((2.0 * presence - 1.0) * mu)))
     return EvalReport(
-        per_species, mean_auc, sum_log_values(estimates), independent, len(dataset),
+        per_species, mean_auc, sum(est.log_value for est in estimates), independent,
+        len(dataset),
         tol_misses=sum(not est.tolerance_reached for est in estimates),
-        max_rel_err=max(est.error_estimate / max(est.value, 1e-300) for est in estimates),
+        max_rel_err=max(est.rel_error for est in estimates),
         samples_used=sum(est.samples_used for est in estimates),
     )

@@ -22,7 +22,6 @@ that transform.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +38,6 @@ __all__ = [
     "sigma_from_lambda",
     "mu_forward",
     "joint_estimates",
-    "sum_log_values",
     "log_likelihood",
 ]
 
@@ -250,14 +248,6 @@ def joint_estimates(
     return cdf_rectangles(problem, Rectangle.from_presence(presence), seeds, tol)
 
 
-def sum_log_values(estimates) -> float:
-    """Sum, in order, of the logs of the estimates' values, each floored at 1e-300."""
-    total = 0.0
-    for est in estimates:
-        total += math.log(max(est.value, 1e-300))
-    return total
-
-
 def log_likelihood(
     params: ModelParams,
     presence: np.ndarray,
@@ -266,14 +256,16 @@ def log_likelihood(
     seed: int = 0,
 ) -> float:
     """Sum of the log joint probabilities of ``(N, n)`` presence rows at
-    ``(N, m)`` standardized features, each floored at 1e-300: the
-    :func:`sum_log_values` of :func:`joint_estimates` at the features'
-    latent means. Zero rows give 0.0; presence and feature shapes that
-    disagree raise :class:`DimMismatch`.
+    ``(N, m)`` standardized features: the sum, in row order, of the
+    :attr:`~dmse.mvn.CdfEstimate.log_value` of each of
+    :func:`joint_estimates` at the features' latent means. Zero rows give
+    0.0; presence and feature shapes that disagree raise
+    :class:`DimMismatch`.
     """
     presence = np.asarray(presence)
     features = np.asarray(features, dtype=float)
     if features.ndim != 2 or presence.shape != (len(features), params.n_species):
         raise DimMismatch(f"presence {presence.shape} does not match features {features.shape}")
     mu, _, _ = mu_forward(params, features)
-    return sum_log_values(joint_estimates(params, presence, mu, tol, seed))
+    estimates = joint_estimates(params, presence, mu, tol, seed)
+    return sum((est.log_value for est in estimates), 0.0)

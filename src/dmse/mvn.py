@@ -178,7 +178,7 @@ class MvnProblem:
     if that fails), and keeps the inverse as ``precision``, which cannot be
     passed in. A mean of shape ``(B, n)`` makes a batch of ``B`` problems
     that share the covariance and its factorization; a NaN or infinite
-    mean entry raises ``ValueError``.
+    entry of the mean or the covariance raises ``ValueError``.
     """
 
     mean: np.ndarray
@@ -191,15 +191,15 @@ class MvnProblem:
         if cov.shape != (n, n) or n < 1:
             raise DimMismatch(f"cov shape {cov.shape} is not a nonempty square matrix")
         object.__setattr__(self, "mean", _checked_mean(self.mean, n))
+        if not np.all(np.isfinite(cov)):
+            bad = tuple(int(k) for k in np.argwhere(~np.isfinite(cov))[0])
+            raise ValueError(f"covariance entry {bad} is {cov[bad]}, not finite")
         scale = max(1.0, float(np.abs(cov).max()))
         if np.abs(cov - cov.T).max() > 1e-12 * scale:
             raise ValueError("covariance must be symmetric within 1e-12 relative")
         object.__setattr__(self, "cov", cov)
         chol, _ = cholesky(cov)
-        try:
-            inv_l = solve_triangular(chol, np.eye(n), lower=True)
-        except Exception as exc:  # pragma: no cover - scipy raises rarely here
-            raise SingularCovariance(str(exc)) from exc
+        inv_l = solve_triangular(chol, np.eye(n), lower=True)
         if not np.all(np.isfinite(inv_l)):
             raise SingularCovariance("covariance not invertible after jitter")
         object.__setattr__(self, "precision", inv_l.T @ inv_l)
@@ -225,6 +225,16 @@ class CdfEstimate:
     error_estimate: float
     samples_used: int
     tolerance_reached: bool = True
+
+    @property
+    def log_value(self) -> float:
+        """``log(value)``, with the value floored at 1e-300."""
+        return math.log(max(self.value, 1e-300))
+
+    @property
+    def rel_error(self) -> float:
+        """``error_estimate / value``, with the value floored at 1e-300."""
+        return self.error_estimate / max(self.value, 1e-300)
 
 
 @dataclass(frozen=True)
@@ -321,7 +331,7 @@ def _half_lines(problem: MvnProblem, rect: Rectangle, shape=None):
 
 
 def _largest_prime_at_most(n: int) -> int:
-    while any(n % p == 0 for p in range(2, math.isqrt(n) + 1)):
+    while _prime_factors(n) != [n]:
         n -= 1
     return n
 
@@ -599,19 +609,16 @@ def _lattice_means(cho, hi, n_points, shifts, mu):
                 np.maximum(ub, 5e-324, out=ub)
                 np.minimum(ub, 1.0 - 1e-16, out=ub)
                 ndtri(ub, out=yb[i - 1])
-                # sb = cho[i, :i] @ y[:i], by conditioning blocks.
+                # sb = cho[i, :i] @ y[:i]: a gemv within the conditioning
+                # block (zeros at i == b0) plus the block's GEMM row.
                 b0 = i - i % _COND_BLOCK
-                if b0 == 0:
-                    np.matmul(cho[i, :i], yb[:i], out=sb)
-                else:
+                np.matmul(cho[i, b0:i], yb[b0:i], out=sb)
+                if b0:
                     rows = min(_COND_BLOCK, n - b0)
                     earlier = part[: rows * w].reshape(rows, w)
                     if i == b0:
                         np.matmul(cho[b0 : b0 + rows, :b0], yb[:b0], out=earlier)
-                        np.copyto(sb, earlier[0])
-                    else:
-                        np.matmul(cho[i, b0:i], yb[b0:i], out=sb)
-                        np.add(sb, earlier[i - b0], out=sb)
+                    np.add(sb, earlier[i - b0], out=sb)
                 dcb = dc[:w]
                 np.subtract(hi[i], sb, out=dcb)
                 ndtr(dcb, out=dcb)

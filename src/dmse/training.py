@@ -144,15 +144,11 @@ def _minibatch_bundle(params, presence, features, indices, cfg, sampler_seed, lo
     rect = Rectangle.from_presence(bits)
     musig = grad_mu_sigma(problem, rect, cfg.sampler, sampler_seed)
     bundle = assemble_bundle(params, feats, musig, tape, h)
-    stats = []
     seeds = [loglik_seed ^ int(i) for i in indices]
-    for est in cdf_rectangles(problem, rect, seeds, math.inf):
-        value = max(est.value, 1e-300)
-        stats.append((np.log(value), est.error_estimate / value))
-    mean_ll, mean_err = np.mean(stats, axis=0)
+    estimates = cdf_rectangles(problem, rect, seeds, math.inf)
     return bundle, {
-        "minibatch_loglik": float(mean_ll),
-        "minibatch_loglik_err": float(mean_err),
+        "minibatch_loglik": float(np.mean([est.log_value for est in estimates])),
+        "minibatch_loglik_err": float(np.mean([est.rel_error for est in estimates])),
         "grad_se": float(np.mean(musig.se_mu)),
     }
 

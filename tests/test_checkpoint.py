@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from dmse.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
+from dmse.checkpoint import MAX_NAME_BYTES, checkpoint_bytes, load_checkpoint, save_checkpoint
 from dmse.errors import CorruptCheckpoint
 from dmse.mlp import MlpParams
 from dmse.model import init_model_params
@@ -67,6 +67,16 @@ class TestRoundTrip:
         path = tmp_path / "u.dmse"
         save_checkpoint(params, path)
         assert load_checkpoint(path).species_names == ["Ardea cinérea", "チドリ"]
+
+    def test_name_over_the_limit_leaves_the_file_as_it_was(self, tmp_path):
+        path = tmp_path / "m.dmse"
+        save_checkpoint(sample_params(), path)
+        before = path.read_bytes()
+        params = sample_params()
+        params.species_names[0] = "é" * (MAX_NAME_BYTES // 2 + 1)
+        with pytest.raises(ValueError, match="name too long"):
+            save_checkpoint(params, path)
+        assert path.read_bytes() == before
 
 
 def with_crc(body):

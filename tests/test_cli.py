@@ -198,6 +198,19 @@ class TestExitCodes:
             "at row 3, column 'sp:a'\n"
         )
 
+    def test_name_too_long_for_a_checkpoint_is_3_before_training(self, tmp_path, capsys):
+        # A checkpoint stores a name's length in 16 bits.
+        rows = "".join(f"{i % 2},{0.5 * i}\n" for i in range(40))
+        data = write(tmp_path, "d.csv", f"sp:{'x' * 70_000},env:x\n" + rows)
+        cfg = write(tmp_path, "t.cfg", FAST_TRAIN)
+        out = tmp_path / "m.dmse"
+        assert main(["train", "--data", data, "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: MalformedHeader: species name 'xxxx")
+        assert "70000 UTF-8 bytes" in err
+        # The step log is opened only once the data has loaded.
+        assert not out.exists() and not (tmp_path / "m.dmse.log").exists()
+
     @pytest.mark.parametrize("command", ["train", "cv"])
     def test_d2_below_species_count_is_2(self, tmp_path, capsys, command):
         # n=6 species with d2=3 gives a rank-deficient correlation matrix.
@@ -363,6 +376,21 @@ class TestTrainCommand:
                      "--seed", "7", "--set", "d1=5"]) == 0
         assert load_checkpoint(out).d1 == 5
 
+
+    def test_seed_flag_is_the_seed_key(self, workspace):
+        """``--seed 5`` writes what ``--set seed=5`` writes."""
+        ws, data, cfg, model = workspace
+
+        def written(name, *argv):
+            out = ws / name
+            assert main(["train", "--data", data, "--config", cfg, "--out", str(out),
+                         *argv]) == 0
+            records = [json.loads(line) for line in (ws / (name + ".log")).read_text().splitlines()]
+            for rec in records:
+                del rec["wall_time"]
+            return out.read_bytes(), records
+
+        assert written("flag.dmse", "--seed", "5") == written("key.dmse", "--set", "seed=5")
 
     def test_logged_likelihood_is_one_pass_whatever_cdf_tol(self, tmp_path, caplog):
         """One step at n=20 logs no warning, and ``cdf_tol`` changes neither
@@ -603,6 +631,18 @@ class TestCvCommand:
         assert (folds("c", "--set", "seed=1", "--seed", "3")
                 == folds("d", "--set", "seed=999", "--seed", "3"))
 
+    def test_seed_flag_is_the_seed_key(self, workspace):
+        ws, data, cfg, model = workspace
+
+        def written(name, *argv):
+            out = ws / name
+            assert main(["cv", "--data", data, "--config", cfg, "--k", "2",
+                         "--out-dir", str(out), "--set", "minibatch_size=4", *argv]) == 0
+            return {path.name: path.read_bytes() for path in out.iterdir()}
+
+        flag = written("flag", "--seed", "5")
+        assert len(flag) == 5 and flag == written("key", "--set", "seed=5")
+
     def test_bad_k_is_config_error(self, workspace):
         ws, data, cfg, model = workspace
         assert main(["cv", "--data", data, "--config", cfg, "--k", "1",
@@ -689,6 +729,17 @@ class TestSynthCommand:
         assert written("b", SYNTH_SPEC, "--seed", "3") == seeded
         assert written("c", SYNTH_SPEC.replace("seed = 4", "seed = 999"), "--seed", "3") == seeded
         assert written("d", SYNTH_SPEC) != seeded
+
+    def test_seed_flag_is_the_seed_key(self, tmp_path):
+        """``--seed 5`` writes what a spec's ``seed = 5`` writes."""
+        def written(name, spec_text, *argv):
+            spec = write(tmp_path, name + ".cfg", spec_text)
+            out = tmp_path / (name + ".csv")
+            assert main(["synth", "--spec-config", spec, "--out", str(out), *argv]) == 0
+            return out.read_bytes(), (tmp_path / (name + ".csv.truth.json")).read_bytes()
+
+        assert (written("flag", SYNTH_SPEC, "--seed", "5")
+                == written("key", SYNTH_SPEC.replace("seed = 4", "seed = 5")))
 
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         spec = write(tmp_path, "s.cfg", SYNTH_SPEC + "volume = 11\n")

@@ -1,12 +1,16 @@
 """Tests for CSV ingestion, standardization, filtering, and synthesis."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from dmse.checkpoint import MAX_NAME_BYTES
 from dmse.dataio import (
+    MU_MAP_KINDS,
     Dataset,
+    GroundTruth,
     SynthSpec,
     load_csv,
     load_features_csv,
@@ -138,6 +142,15 @@ class TestDataset:
         with pytest.raises(error):
             Dataset(presence, features, names, ["x"])
 
+    def test_name_too_long_for_a_checkpoint_rejected(self):
+        # The limit counts UTF-8 bytes: 32,768 two-byte characters exceed it.
+        Dataset([[1]], [[0.0]], ["x" * MAX_NAME_BYTES], ["é" * (MAX_NAME_BYTES // 2)])
+        for kind, species, feature in (("species", "x" * (MAX_NAME_BYTES + 1), "x"),
+                                       ("species", "é" * 32_768, "x"),
+                                       ("feature", "a", "é" * 32_768)):
+            with pytest.raises(MalformedHeader, match=f"{kind} name .* 65536 UTF-8 bytes"):
+                Dataset([[1]], [[0.0]], [species], [feature])
+
     def test_subset_indexes_both_arrays(self):
         ds = Dataset([[1, 0], [0, 1], [1, 1]], [[0.0], [1.0], [2.0]], ["a", "b"], ["x"])
         sub = ds.subset([2, 0])
@@ -190,6 +203,16 @@ class TestSynthGenerate:
         both = np.mean(np.all(ds.presence == 1, axis=1))
         p = bvn_orthant(rho)
         np.testing.assert_allclose(both, p, atol=3 * math.sqrt(p * (1 - p) / len(ds)))
+
+    @pytest.mark.parametrize("kind", MU_MAP_KINDS)
+    def test_truth_json_reloads_to_the_same_map(self, kind):
+        _, truth = synth_generate(SynthSpec(n_species=2, m_features=3, n_obs=5, mu_map=kind,
+                                            true_sigma=[[1.0, 0.3], [0.3, 1.0]], seed=3))
+        raw = json.loads(truth.to_json())
+        again = GroundTruth(raw["map_kind"], raw["map_params"], np.array(raw["true_sigma"]))
+        np.testing.assert_array_equal(again.true_sigma, truth.true_sigma)
+        feats = np.random.default_rng(0).uniform(-1.0, 1.0, size=(7, 3))
+        np.testing.assert_array_equal(true_mu(again, feats), true_mu(truth, feats))
 
     def test_deterministic(self):
         spec = SynthSpec(n_species=2, m_features=3, n_obs=50, mu_map="mlp-random", seed=9)

@@ -186,6 +186,26 @@ class TestEvaluate:
         assert f"max_rel_err,,{report.max_rel_err!r}" in rows
         assert f"samples_used,,{report.samples_used}" in rows
 
+    def test_text_and_csv_list_the_same_metrics_in_order(self, tmp_path):
+        """Both renderings list the scalar metrics in one order; the text
+        adds the per-observation gap after ``independent_loglik``."""
+        rng = np.random.default_rng(25)
+        coef = rng.normal(size=(2, 2))
+        report = evaluate(truth_model(coef, np.eye(2)), generate(coef, np.eye(2), 20, seed=26),
+                          cdf_tol=1e-3, seed=27)
+        text = [line.split(" = ") for line in report.to_text().splitlines()]
+        report.write_csv(tmp_path / "report.csv")
+        rows = [row.split(",") for row in (tmp_path / "report.csv").read_text().splitlines()]
+        names = ["n_obs", "joint_loglik", "independent_loglik", "mean_auc", "tol_misses",
+                 "max_rel_err", "samples_used"]
+        gap = (report.joint_loglik - report.independent_loglik) / report.n_obs
+        assert text[:8] == [[name, repr(getattr(report, name))] for name in names[:3]] + [
+            ["joint_minus_independent_per_obs", repr(gap)]] + [
+            [name, repr(getattr(report, name))] for name in names[3:]]
+        assert rows[1:8] == [[name, "", repr(getattr(report, name))] for name in names]
+        assert [line[0] for line in text[8:]] == ["auc[s0]", "auc[s1]"]
+        assert [row[:2] for row in rows[8:]] == [["auc", "s0"], ["auc", "s1"]]
+
 
 class TestIntegratorHealth:
     """``tol_misses``, ``max_rel_err`` and ``samples_used`` come from the

@@ -1,5 +1,6 @@
 """Tests for the multivariate normal primitives."""
 
+import bisect
 import dataclasses
 import logging
 import math
@@ -15,6 +16,7 @@ from dmse.model import sigma_from_lambda
 from dmse.mvn import (
     _CHUNK,
     N_RANDOMIZATIONS,
+    CdfEstimate,
     MvnProblem,
     Rectangle,
     SamplerConfig,
@@ -248,6 +250,14 @@ def _equicorrelated(mu0, bits, rho=0.5):
     return MvnProblem(mean, cov), Rectangle.from_presence(bits), exact
 
 
+class TestCdfEstimate:
+    def test_log_value_and_rel_error_floor_the_value_at_1e_300(self):
+        est = CdfEstimate(0.25, 0.01, 732)
+        assert (est.log_value, est.rel_error) == (math.log(0.25), 0.01 / 0.25)
+        zero = CdfEstimate(0.0, 1e-310, 732, False)
+        assert (zero.log_value, zero.rel_error) == (math.log(1e-300), 1e-310 / 1e-300)
+
+
 class TestFarTails:
     """Intervals far out in a tail, against the equicorrelation oracle. An
     interval ``[lo, inf)`` integrated as ``1 - ndtr(lo - s)`` cancels to 0
@@ -401,6 +411,11 @@ class TestOrderedCholesky:
 
 
 class TestCbcLattice:
+    def test_largest_prime_at_most(self):
+        primes = [p for p in range(2, 5000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        for n in range(2, 5000):
+            assert mvn._largest_prime_at_most(n) == primes[bisect.bisect_right(primes, n) - 1]
+
     @pytest.mark.parametrize("n", [3, 5, 257, 4093, 65537, 833_309])
     def test_powers_match_the_loop(self, n):
         """The block-doubling powers equal the one-at-a-time loop they
@@ -947,3 +962,10 @@ class TestMvnProblem:
         mean.flat[-1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             MvnProblem(mean, np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cov_rejected_naming_the_entry(self, bad):
+        cov = np.eye(3)
+        cov[1, 2] = cov[2, 1] = bad
+        with pytest.raises(ValueError, match=rf"covariance entry \(1, 2\) is {bad}, not finite"):
+            MvnProblem(np.zeros(3), cov)
